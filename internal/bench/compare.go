@@ -26,9 +26,6 @@ var metricDir = map[string]bool{ // true = higher is better
 	"rel_cost":        false,
 	"ingest_ms":       false,
 	"in_process_ms":   false,
-	"recovery_ms":     false,
-	"replay_ms":       false,
-	"checkpoint_ms":   false,
 	"batch_p50_us":    false,
 	"batch_p99_us":    false,
 	"push_ingest_ms":  false,

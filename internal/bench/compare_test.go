@@ -178,10 +178,10 @@ func TestCompareMalformedJSON(t *testing.T) {
 }
 
 // TestCompareTopLevelMetrics: scalar metrics outside any points array (e.g.
-// the recovery report's ingest_ms) are gated too.
+// a report-level ingest_ms) are gated too.
 func TestCompareTopLevelMetrics(t *testing.T) {
-	oldDoc := `{"experiment": "recovery", "ingest_ms": 100, "points": []}`
-	newDoc := `{"experiment": "recovery", "ingest_ms": 150, "points": []}`
+	oldDoc := `{"experiment": "serve", "ingest_ms": 100, "points": []}`
+	newDoc := `{"experiment": "serve", "ingest_ms": 150, "points": []}`
 	rep := mustCompare(t, oldDoc, newDoc, 0.15)
 	if got := rowStatus(t, rep, "ingest_ms"); got != "regressed" {
 		t.Fatalf("ingest_ms status = %q, want regressed", got)

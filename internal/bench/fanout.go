@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"net"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -12,7 +11,6 @@ import (
 
 	"rpai/internal/engine"
 	"rpai/internal/serve"
-	"rpai/internal/wire"
 	"rpai/internal/wire/client"
 )
 
@@ -114,7 +112,7 @@ func Fanout(cfg FanoutConfig) (*FanoutReport, error) {
 		cfg.SubBuffer = 256
 	}
 	rep := &FanoutReport{Header: NewHeader("fanout", 1), Config: cfg}
-	events := recoveryEvents(cfg.Seed, cfg.Events, cfg.Partitions)
+	events := vwapEvents(cfg.Seed, cfg.Events, cfg.Partitions)
 	for _, n := range cfg.Subscribers {
 		p := FanoutPoint{Subscribers: n}
 		if err := fanoutPush(events, cfg, n, &p); err != nil {
@@ -130,28 +128,6 @@ func Fanout(cfg FanoutConfig) (*FanoutReport, error) {
 		rep.Points = append(rep.Points, p)
 	}
 	return rep, nil
-}
-
-// fanoutServer boots a fresh service and wire server for one measurement.
-func fanoutServer(cfg FanoutConfig) (*serve.Service[engine.Event], string, func(), error) {
-	svc, err := serve.ForQuery(recoveryQuery(), []string{"sym"}, serve.Options{Shards: cfg.Shards})
-	if err != nil {
-		return nil, "", nil, err
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		svc.Close()
-		return nil, "", nil, err
-	}
-	srv := wire.NewServer(svc, wire.ServerConfig{})
-	serveDone := make(chan error, 1)
-	go func() { serveDone <- srv.Serve(ln) }()
-	stop := func() {
-		srv.Close()
-		<-serveDone
-		svc.Close()
-	}
-	return svc, ln.Addr().String(), stop, nil
 }
 
 // fanoutWriter streams the trace through a pipelined client and drains.
@@ -220,7 +196,7 @@ func (s *fanoutSub) caughtUp(target []serve.ShardVersion) (bool, error) {
 }
 
 func fanoutPush(events []engine.Event, cfg FanoutConfig, n int, p *FanoutPoint) error {
-	svc, addr, stop, err := fanoutServer(cfg)
+	cat, id, addr, stop, err := vwapServer(cfg.Shards)
 	if err != nil {
 		return err
 	}
@@ -248,7 +224,10 @@ func fanoutPush(events []engine.Event, cfg FanoutConfig, n int, p *FanoutPoint) 
 	if err != nil {
 		return err
 	}
-	target := svc.ShardVersions()
+	target, err := cat.ShardVersions(id)
+	if err != nil {
+		return err
+	}
 	deadline := time.Now().Add(60 * time.Second)
 	for {
 		all := true
@@ -272,7 +251,10 @@ func fanoutPush(events []engine.Event, cfg FanoutConfig, n int, p *FanoutPoint) 
 	}
 	elapsed := time.Since(start)
 
-	want := svc.ResultGrouped()
+	want, err := cat.ResultGrouped(id)
+	if err != nil {
+		return err
+	}
 	var frames uint64
 	for i, s := range subs {
 		s.mu.Lock()
@@ -333,7 +315,7 @@ func (pl *fanoutPoller) run(c *client.Client, stop <-chan struct{}) {
 }
 
 func fanoutPull(events []engine.Event, cfg FanoutConfig, n int, p *FanoutPoint) error {
-	svc, addr, stop, err := fanoutServer(cfg)
+	cat, id, addr, stop, err := vwapServer(cfg.Shards)
 	if err != nil {
 		return err
 	}
@@ -359,7 +341,11 @@ func fanoutPull(events []engine.Event, cfg FanoutConfig, n int, p *FanoutPoint) 
 		close(quit)
 		return err
 	}
-	want := svc.ResultGrouped()
+	want, err := cat.ResultGrouped(id)
+	if err != nil {
+		close(quit)
+		return err
+	}
 	wantFP := groupsFingerprint(want)
 	deadline := time.Now().Add(60 * time.Second)
 	for {

@@ -141,7 +141,7 @@ func Matrix(cfg MatrixConfig) (*MatrixReport, error) {
 	}
 	cores := resolveCores(cfg.Cores)
 	rep := &MatrixReport{Header: NewHeader("matrix", cfg.Iters), Config: cfg}
-	events := recoveryEvents(cfg.Seed, cfg.Events, cfg.Partitions)
+	events := vwapEvents(cfg.Seed, cfg.Events, cfg.Partitions)
 
 	// Sequential single-shard reference for the bit-identity checks.
 	wantScalar, wantGroups, err := matrixReference(events)
@@ -277,7 +277,7 @@ func findBase(cells []MatrixCell, c MatrixCell, baseCores int) *MatrixCell {
 // matrixReference replays the trace sequentially through a single-shard
 // service: the ground truth every matrix cell must reproduce bit for bit.
 func matrixReference(events []engine.Event) (float64, []engine.GroupResult, error) {
-	svc, err := serve.ForQuery(recoveryQuery(), []string{"sym"}, serve.Options{Shards: 1})
+	svc, err := serve.ForQuery(vwapQuery(), []string{"sym"}, serve.Options{Shards: 1})
 	if err != nil {
 		return 0, nil, err
 	}
@@ -299,7 +299,7 @@ func matrixReference(events []engine.Event) (float64, []engine.GroupResult, erro
 // hash, so per-partition order is preserved and the drained result is
 // bit-identical to the sequential replay.
 func matrixServeRun(events []engine.Event, cfg MatrixConfig, shards, batch, producers int) (float64, float64, error) {
-	svc, err := serve.ForQuery(recoveryQuery(), []string{"sym"},
+	svc, err := serve.ForQuery(vwapQuery(), []string{"sym"},
 		serve.Options{Shards: shards, BatchSize: batch, QueueLen: cfg.QueueLen})
 	if err != nil {
 		return 0, 0, err

@@ -3,7 +3,6 @@ package bench
 import (
 	"encoding/json"
 	"fmt"
-	"net"
 	"sort"
 	"strings"
 	"sync"
@@ -11,7 +10,6 @@ import (
 
 	"rpai/internal/engine"
 	"rpai/internal/serve"
-	"rpai/internal/wire"
 	"rpai/internal/wire/client"
 )
 
@@ -75,9 +73,10 @@ type WireReport struct {
 	Points      []WirePoint `json:"points"`
 }
 
-// Wire runs the networked-serving experiment. The workload and query are the
-// recovery experiment's (Example 2.2 VWAP per symbol); every networked run's
-// scalar and grouped results must equal the in-process reference exactly.
+// Wire runs the networked-serving experiment: Example 2.2 VWAP per symbol,
+// served by a one-query catalog behind the wire server. Every networked
+// run's scalar and grouped results must equal the in-process reference
+// exactly.
 func Wire(cfg WireConfig) (*WireReport, error) {
 	if len(cfg.Conns) == 0 {
 		cfg.Conns = []int{1}
@@ -86,8 +85,8 @@ func Wire(cfg WireConfig) (*WireReport, error) {
 		cfg.Iters = 1
 	}
 	rep := &WireReport{Header: NewHeader("wire", cfg.Iters), Config: cfg}
-	q := recoveryQuery()
-	events := recoveryEvents(cfg.Seed, cfg.Events, cfg.Partitions)
+	q := vwapQuery()
+	events := vwapEvents(cfg.Seed, cfg.Events, cfg.Partitions)
 
 	// In-process reference: same service configuration, no network.
 	ref, err := serve.ForQuery(q, []string{"sym"}, serve.Options{Shards: cfg.Shards})
@@ -135,26 +134,15 @@ func Wire(cfg WireConfig) (*WireReport, error) {
 
 // wirePoint measures one pool size against a fresh server.
 func wirePoint(events []engine.Event, cfg WireConfig, conns int, wantScalar float64, wantGroups []engine.GroupResult) (*WirePoint, error) {
-	svc, err := serve.ForQuery(recoveryQuery(), []string{"sym"}, serve.Options{Shards: cfg.Shards})
+	_, _, addr, stop, err := vwapServer(cfg.Shards)
 	if err != nil {
 		return nil, err
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	srv := wire.NewServer(svc, wire.ServerConfig{})
-	serveDone := make(chan error, 1)
-	go func() { serveDone <- srv.Serve(ln) }()
-	defer func() {
-		srv.Close()
-		<-serveDone
-		svc.Close()
-	}()
+	defer stop()
 
 	var mu sync.Mutex
 	var lats []time.Duration
-	c, err := client.Dial(ln.Addr().String(), client.Options{
+	c, err := client.Dial(addr, client.Options{
 		Conns:       conns,
 		BatchSize:   cfg.BatchSize,
 		MaxInFlight: cfg.MaxInFlight,

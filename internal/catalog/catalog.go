@@ -63,6 +63,11 @@ var ErrUnknownQuery = errors.New("catalog: unknown query id")
 // ErrClosed is returned after Close.
 var ErrClosed = errors.New("catalog: closed")
 
+// ErrReadOnly is returned by every write (ApplyBatch, Register, Unregister,
+// Checkpoint) on a replica: it follows its primary's directory and changes
+// only by what the primary logs there.
+var ErrReadOnly = errors.New("catalog: read-only replica")
+
 // Options configures a catalog. PartitionBy applies to every registered
 // query (the catalog serves one logical relation, so grouping keys are
 // shared); Shards/QueueLen/BatchSize parameterize each query's executor
@@ -133,6 +138,23 @@ type execSet struct {
 	rejected atomic.Uint64
 }
 
+// tables are the catalog's registration tables.
+type tables struct {
+	regs     map[QueryID]*registration
+	sets     map[string]*execSet // canonical SQL -> newest set serving that form
+	states   map[string]*execSet // engine.StateKey -> newest shared state set
+	baseKeys map[string]*execSet // masked StateKey -> newest count-attachable set
+}
+
+func newTables() tables {
+	return tables{
+		regs:     make(map[QueryID]*registration),
+		sets:     make(map[string]*execSet),
+		states:   make(map[string]*execSet),
+		baseKeys: make(map[string]*execSet),
+	}
+}
+
 // Service is the catalog. All public methods are safe for concurrent use.
 type Service struct {
 	opt Options
@@ -140,14 +162,11 @@ type Service struct {
 	// mu guards the registration tables. Ingest holds it for read, Register/
 	// Unregister/Checkpoint for write, so a batch never interleaves with a
 	// registration change (the alignment that keeps `since` exact).
-	mu       sync.RWMutex
-	regs     map[QueryID]*registration
-	sets     map[string]*execSet // canonical SQL -> newest set serving that form
-	states   map[string]*execSet // engine.StateKey -> newest shared state set
-	baseKeys map[string]*execSet // masked StateKey -> newest count-attachable set
-	nextID   QueryID
-	nextSet  uint64
-	closed   bool
+	mu sync.RWMutex
+	tables
+	nextID  QueryID
+	nextSet uint64
+	closed  bool
 
 	// ingestMu serializes ApplyBatch so the WAL record order equals the
 	// per-shard application order — the invariant recovery replay relies on.
@@ -155,7 +174,8 @@ type Service struct {
 	records  uint64 // WAL records written this generation (== batches applied)
 	applied  uint64 // lifetime batches applied, never reset — founding epochs
 
-	dur *durableState // nil for in-memory catalogs
+	dur *durableState // nil for in-memory catalogs and replicas
+	rep *replica      // non-nil for a replica (see OpenReplica)
 }
 
 // New builds a catalog. With Options.Dir set it becomes durable: an existing
@@ -165,15 +185,7 @@ func New(opt Options) (*Service, error) {
 	if len(opt.PartitionBy) == 0 {
 		return nil, errors.New("catalog: Options.PartitionBy must name at least one column")
 	}
-	s := &Service{
-		opt:      opt,
-		regs:     make(map[QueryID]*registration),
-		sets:     make(map[string]*execSet),
-		states:   make(map[string]*execSet),
-		baseKeys: make(map[string]*execSet),
-		nextID:   1,
-		nextSet:  1,
-	}
+	s := newService(opt)
 	if opt.Dir != "" {
 		if err := s.initDurable(); err != nil {
 			return nil, err
@@ -182,22 +194,14 @@ func New(opt Options) (*Service, error) {
 	return s, nil
 }
 
+func newService(opt Options) *Service {
+	return &Service{opt: opt, tables: newTables(), nextID: 1, nextSet: 1}
+}
+
 // serveOptions are the per-set service options: never durable on their own —
 // the catalog's shared WAL is the only log.
 func (s *Service) serveOptions() serve.Options {
 	return serve.Options{Shards: s.opt.Shards, QueueLen: s.opt.QueueLen, BatchSize: s.opt.BatchSize}
-}
-
-// deriveSpec computes a query's probe plan: directly (StateKey-eligible), or
-// after splitting off a residual partition-column conjunct.
-func deriveSpec(q *query.Query, partitionBy []string) (engine.ProbeSpec, bool) {
-	if _, _, sp, ok := engine.StateKey(q); ok {
-		return sp, true
-	}
-	if _, sp, ok := engine.SplitResidual(q, partitionBy); ok {
-		return sp, true
-	}
-	return engine.ProbeSpec{}, false
 }
 
 // deriveState resolves a founder query's sharing identity and the query its
@@ -263,6 +267,9 @@ func (s *Service) Register(sql string) (QueryID, Explain, error) {
 	defer s.mu.Unlock()
 	if s.closed {
 		return 0, Explain{}, ErrClosed
+	}
+	if s.rep != nil {
+		return 0, Explain{}, ErrReadOnly
 	}
 	id := s.nextID
 	s.nextID++
@@ -439,6 +446,9 @@ func (s *Service) Unregister(id QueryID) error {
 	if s.closed {
 		return ErrClosed
 	}
+	if s.rep != nil {
+		return ErrReadOnly
+	}
 	reg, ok := s.regs[id]
 	if !ok {
 		return fmt.Errorf("%w: %d", ErrUnknownQuery, id)
@@ -535,8 +545,14 @@ func (s *Service) Len() int {
 	return len(s.regs)
 }
 
-// Default is the lowest live QueryID — the query legacy (pre-v4) wire
-// connections are routed to.
+// PartitionBy reports the partition columns every query is grouped by.
+func (s *Service) PartitionBy() []string { return s.opt.PartitionBy }
+
+// ReadOnly reports whether the catalog is a replica (see OpenReplica).
+func (s *Service) ReadOnly() bool { return s.rep != nil }
+
+// Default is the lowest live QueryID — the query the wire protocol's
+// unrouted reads address.
 func (s *Service) Default() (QueryID, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -580,6 +596,9 @@ func (s *Service) ApplyBatch(events []engine.Event) error {
 	if s.closed {
 		return ErrClosed
 	}
+	if s.rep != nil {
+		return ErrReadOnly
+	}
 	s.ingestMu.Lock()
 	defer s.ingestMu.Unlock()
 	if s.dur != nil {
@@ -617,8 +636,7 @@ func (s *Service) distinctSetsLocked() []*execSet {
 }
 
 // encodeBatchRecord frames a batch as one WAL record: a u32-LE
-// length-prefixed event encoding per event, the same inner framing the
-// single-query serve WAL uses.
+// length-prefixed event encoding per event.
 func encodeBatchRecord(buf []byte, events []engine.Event) []byte {
 	for _, e := range events {
 		off := len(buf)
@@ -825,28 +843,38 @@ func (s *Service) DrainAll() error {
 	return first
 }
 
-// Close stops every executor set and closes the WAL. Events still queued are
-// applied first (serve.Close drains); the catalog stays recoverable.
+// Close stops every executor set and closes the WAL (a replica stops
+// following its primary first). Events still queued are applied first
+// (serve.Close drains); the catalog stays recoverable. A replica's sticky
+// follow error, if any, is returned.
 func (s *Service) Close() error {
+	var first error
+	if s.rep != nil {
+		// The follower takes mu itself; stop it before locking.
+		first = s.rep.stop()
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return nil
 	}
 	s.closed = true
-	var first error
-	seen := make(map[uint64]bool)
-	for _, reg := range s.regs {
-		if seen[reg.set.setID] {
-			continue
-		}
-		seen[reg.set.setID] = true
-		if err := reg.set.svc.Close(); err != nil && first == nil {
-			first = err
-		}
+	if err := s.closeSets(); err != nil && first == nil {
+		first = err
 	}
 	if s.dur != nil {
 		if err := s.dur.wal.Close(); err != nil && first == nil {
+			first = err
+		}
+	}
+	return first
+}
+
+// closeSets closes every live executor set, returning the first error.
+func (s *Service) closeSets() error {
+	var first error
+	for _, set := range s.distinctSetsLocked() {
+		if err := set.svc.Close(); err != nil && first == nil {
 			first = err
 		}
 	}

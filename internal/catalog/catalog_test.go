@@ -3,10 +3,12 @@ package catalog
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -665,26 +667,29 @@ func TestCatalogStatsAndSubscribe(t *testing.T) {
 	}
 }
 
-// writeCatalogV1 writes a CATALOG manifest in the pre-family version-1
-// layout: no flags byte, no lane constant after each entry's SQL.
-func writeCatalogV1(t *testing.T, dir string, nextID, nextSet uint64, partitionBy []string, entries []catEntry) {
+// writeOldCatalog hand-writes a CATALOG manifest in an older format
+// version: version 1 carried no plan fields after each entry's SQL, version
+// 2 added a flags byte and the entry's threshold constant.
+func writeOldCatalog(t *testing.T, dir string, version uint32, entries []catEntry) {
 	t.Helper()
 	var rec bytes.Buffer
 	e := checkpoint.NewEncoder(&rec)
-	e.U32(1) // version
+	e.U32(version)
 	e.U64(1) // gen
-	e.U64(nextID)
-	e.U64(nextSet)
-	e.U32(uint32(len(partitionBy)))
-	for _, c := range partitionBy {
-		e.Str(c)
-	}
+	e.U64(uint64(len(entries)) + 1)
+	e.U64(uint64(len(entries)) + 1)
+	e.U32(1)
+	e.Str("sym")
 	e.U32(uint32(len(entries)))
 	for _, ent := range entries {
 		e.U64(uint64(ent.id))
 		e.U64(ent.setID)
 		e.U64(ent.since)
 		e.Str(ent.sql)
+		if version == 2 {
+			e.U8(entryShared)
+			e.F64(ent.spec.Const)
+		}
 	}
 	if err := e.Err(); err != nil {
 		t.Fatal(err)
@@ -699,138 +704,73 @@ func writeCatalogV1(t *testing.T, dir string, nextID, nextSet uint64, partitionB
 	}
 }
 
-// TestCatalogRecoverV1Manifest recovers a directory written by the
-// pre-family manifest format: a version-1 CATALOG where the two constant
-// variants occupy separate executor sets and carry no plan fields.
-// Recovery must accept it, re-derive each member's probe plan from its SQL,
-// keep the persisted set topology (recovery never merges sets — only new
-// registrations join retroactively), and serve bit-identical results.
-func TestCatalogRecoverV1Manifest(t *testing.T) {
-	dir := t.TempDir()
-	events := catEvents(47, 400, 7)
-
-	// Hand-write the v1 on-disk state: manifest plus the shared WAL, no
-	// snapshot directories (the crash predates the first checkpoint, so
-	// every set recovers from its WAL suffix alone).
-	wal, err := checkpoint.CreateWAL(walPath(dir, 1), checkpoint.Header{Gen: 1, Shard: 0, ShardCount: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	applyBatches(t, events, 32, func(b []engine.Event) error {
-		return wal.Append(encodeBatchRecord(nil, b))
+// dirListing maps every file under dir to its contents.
+func dirListing(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	out := map[string]string{}
+	err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		b, err := os.ReadFile(path)
+		out[path] = string(b)
+		return err
 	})
-	if err := wal.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if err := wal.Close(); err != nil {
-		t.Fatal(err)
-	}
-	writeCatalogV1(t, dir, 4, 3, []string{"sym"}, []catEntry{
-		{id: 1, setID: 1, since: 0, sql: sqlVWAP},
-		{id: 2, setID: 2, since: 0, sql: sqlVWAP90},
-		{id: 3, setID: 1, since: 0, sql: sqlVWAP2}, // exact duplicate in set 1
-	})
-
-	rec, err := Recover(Options{Dir: dir, Shards: 2, BatchSize: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer rec.Close()
-	if err := rec.DrainAll(); err != nil {
-		t.Fatal(err)
-	}
+	return out
+}
 
-	// Bit-identical to fresh single-query references over the same trace.
-	for id, sql := range map[QueryID]string{1: sqlVWAP, 2: sqlVWAP90, 3: sqlVWAP2} {
-		ref, err := serve.ForQuery(mustParse(t, sql), []string{"sym"}, serve.Options{})
+// TestCatalogRecoverRefusesOldManifests pins the old-manifest decision: a
+// CATALOG written in format version 1 or 2 is refused with a typed error
+// naming the version — by Recover and by OpenReplica — and the directory,
+// WAL included, is left exactly as it was.
+func TestCatalogRecoverRefusesOldManifests(t *testing.T) {
+	for _, version := range []uint32{1, 2} {
+		dir := t.TempDir()
+		wal, err := checkpoint.CreateWAL(walPath(dir, 1), checkpoint.Header{Gen: 1, Shard: 0, ShardCount: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := ref.ApplyBatch(events); err != nil {
+		applyBatches(t, catEvents(47, 200, 7), 32, func(b []engine.Event) error {
+			return wal.Append(encodeBatchRecord(nil, b))
+		})
+		if err := wal.Close(); err != nil {
 			t.Fatal(err)
 		}
-		if err := ref.Drain(); err != nil {
-			t.Fatal(err)
-		}
-		got, err := rec.Result(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := ref.Result(); got != want {
-			t.Fatalf("query %d recovered %v, reference %v", id, got, want)
-		}
-		gotG, err := rec.ResultGrouped(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !groupsEqual(gotG, ref.ResultGrouped()) {
-			t.Fatalf("query %d grouped results diverged", id)
-		}
-		ref.Close()
-	}
+		writeOldCatalog(t, dir, version, []catEntry{
+			{id: 1, setID: 1, sql: sqlVWAP, spec: engine.ProbeSpec{Const: 0.75}},
+			{id: 2, setID: 2, sql: sqlVWAP90, spec: engine.ProbeSpec{Const: 0.9}},
+		})
+		before := dirListing(t, dir)
 
-	// The v1 topology survives: the exact duplicates share set 1, the
-	// constant variant keeps set 2, and the sharing report reflects it.
-	stats := rec.Stats()
-	if len(stats) != 3 {
-		t.Fatalf("recovered %d registrations, want 3", len(stats))
-	}
-	if stats[0].SetID != stats[2].SetID || stats[0].SetID == stats[1].SetID {
-		t.Fatalf("set topology = %d/%d/%d, want 1 and 3 together, 2 apart",
-			stats[0].SetID, stats[1].SetID, stats[2].SetID)
-	}
-	ex1, err := rec.Get(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ex2, err := rec.Get(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ex1.SharedExact) != 1 || ex1.SharedExact[0] != 3 || len(ex1.SharedFamily) != 0 {
-		t.Fatalf("query 1 sharing = exact %v family %v", ex1.SharedExact, ex1.SharedFamily)
-	}
-	if ex1.PredSig != ex2.PredSig {
-		t.Fatal("constant variants lost their shared predicate signature")
-	}
-
-	// The recovered catalog keeps serving: a new constant variant joins the
-	// newest recovered family set retroactively — inheriting its history —
-	// and continued ingest stays readable everywhere.
-	id4, ex4, err := rec.Register(sqlVWAP60)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ex4.SharedWith) != 1 || ex4.SharedWith[0] != 2 {
-		t.Fatalf("late variant sharing = %v, want the newest family set's member [2]", ex4.SharedWith)
-	}
-	more := catEvents(53, 80, 7)
-	applyBatches(t, more, 16, rec.ApplyBatch)
-	if err := rec.DrainAll(); err != nil {
-		t.Fatal(err)
-	}
-	for _, id := range []QueryID{1, 2, 3} {
-		if _, err := rec.Result(id); err != nil {
-			t.Fatal(err)
+		_, err = Recover(Options{Dir: dir, Shards: 2})
+		var verr *ManifestVersionError
+		if !errors.As(err, &verr) || verr.Version != version {
+			t.Fatalf("v%d: Recover = %v, want a ManifestVersionError for version %d", version, err, version)
 		}
+		if want := fmt.Sprintf("version-%d", version); !strings.Contains(err.Error(), want) {
+			t.Fatalf("v%d: error %q does not name the version", version, err)
+		}
+		if _, err := OpenReplica(Options{Dir: dir}, 0); !errors.As(err, &verr) {
+			t.Fatalf("v%d: OpenReplica = %v, want a ManifestVersionError", version, err)
+		}
+		requireSameListing(t, fmt.Sprintf("v%d refusal", version), before, dirListing(t, dir))
 	}
-	// The retroactive joiner reads the full trace, v1-era history included.
-	ref, err := serve.ForQuery(mustParse(t, sqlVWAP60), []string{"sym"}, serve.Options{})
-	if err != nil {
-		t.Fatal(err)
+}
+
+// requireSameListing fails unless two directory listings hold the same
+// files with the same contents.
+func requireSameListing(t *testing.T, what string, before, after map[string]string) {
+	t.Helper()
+	if len(after) != len(before) {
+		t.Fatalf("%s: directory holds %d files, %d before", what, len(after), len(before))
 	}
-	defer ref.Close()
-	if err := ref.ApplyBatch(events); err != nil {
-		t.Fatal(err)
-	}
-	if err := ref.ApplyBatch(more); err != nil {
-		t.Fatal(err)
-	}
-	if err := ref.Drain(); err != nil {
-		t.Fatal(err)
-	}
-	if got, err := rec.Result(id4); err != nil || got != ref.Result() {
-		t.Fatalf("late variant recovered %v (%v), reference %v", got, err, ref.Result())
+	for path, b := range before {
+		if a, ok := after[path]; !ok || a != b {
+			t.Fatalf("%s: %s changed", what, path)
+		}
 	}
 }
 
@@ -1107,5 +1047,70 @@ func TestCatalogRotationForkReuse(t *testing.T) {
 	defer rec.Close()
 	if got, err := rec.Result(id2); err != nil || got != want {
 		t.Fatalf("recovered %v (%v), want %v", got, err, want)
+	}
+}
+
+// TestCatalogTornWALTail truncates the shared WAL mid-record after a crash
+// and checks recovery equals a twin that applied exactly the surviving
+// batches — the catalog end of the torn-tail property the checkpoint
+// package's fuzzers establish for the framing. A set founded mid-log
+// recovers from its WAL suffix alone.
+func TestCatalogTornWALTail(t *testing.T) {
+	dir := t.TempDir()
+	cat, err := New(Options{PartitionBy: []string{"sym"}, Shards: 2, BatchSize: 16, Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := cat.Register(sqlVWAP); err != nil {
+		t.Fatal(err)
+	}
+	events := catEvents(13, 1200, 7)
+	applyBatches(t, events[:600], 30, cat.ApplyBatch)
+	if _, _, err := cat.Register(sqlEq); err != nil {
+		t.Fatal(err)
+	}
+	applyBatches(t, events[600:], 30, cat.ApplyBatch)
+	if err := cat.DrainAll(); err != nil {
+		t.Fatal(err)
+	}
+	crashed := crashCopy(t, dir)
+	cat.Close()
+
+	path := walPath(crashed, 1)
+	info, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(path, info.Size()-7); err != nil {
+		t.Fatal(err)
+	}
+	_, records, err := checkpoint.ReadWAL(path, func([]byte) error { return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if records != len(events)/30-1 {
+		t.Fatalf("torn WAL holds %d records, want %d", records, len(events)/30-1)
+	}
+
+	rec, err := Recover(Options{Dir: crashed, Shards: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rec.Close()
+	twin, err := New(Options{PartitionBy: []string{"sym"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer twin.Close()
+	if _, _, err := twin.Register(sqlVWAP); err != nil {
+		t.Fatal(err)
+	}
+	applyBatches(t, events[:600], 30, twin.ApplyBatch)
+	if _, _, err := twin.Register(sqlEq); err != nil {
+		t.Fatal(err)
+	}
+	applyBatches(t, events[600:records*30], 30, twin.ApplyBatch)
+	if got, want := primaryState(t, rec), primaryState(t, twin); !sameState(got, want) {
+		t.Fatal("recovery from a torn WAL diverged from the surviving-prefix twin")
 	}
 }

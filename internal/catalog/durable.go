@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 
 	"rpai/internal/checkpoint"
@@ -51,25 +53,40 @@ import (
 const (
 	// catalogName is the manifest file.
 	catalogName = "CATALOG"
-	// catalogMagic brands the manifest; catalogVersion the record format.
-	// Version 3 records each entry's full probe plan (aggregate kind and
-	// residual conjunct beyond version 2's threshold constant), the set's
-	// founding SQL and founding record index, and the catalog's lifetime
-	// batch counter. Version-2 manifests decode with SUM plans (all v2
-	// sharing was threshold-only); version-1 manifests re-derive plans from
-	// each entry's SQL at recovery.
+	// catalogMagic brands the manifest; catalogVersion the record format,
+	// the only one this build reads or writes. Version 3 records each
+	// entry's full probe plan (aggregate kind, threshold constant, residual
+	// conjunct), the set's founding SQL and founding record index, and the
+	// catalog's lifetime batch counter.
 	catalogMagic   = "RPCG"
 	catalogVersion = 3
 	// entryShared marks an entry whose query reads a probe lane of a shared
 	// state set; its plan fields (constant, kind, residual) are meaningful.
-	// In version-2 manifests the same bit meant threshold-family membership.
 	entryShared = 1 << 0
-	// entryResidual marks a version-3 entry whose probe plan carries a
-	// residual partition-column conjunct.
+	// entryResidual marks an entry whose probe plan carries a residual
+	// partition-column conjunct.
 	entryResidual = 1 << 1
 	// maxManifestQueries bounds decode allocation for corrupt files.
 	maxManifestQueries = 1 << 20
 )
+
+// ErrNotDurable is returned by Checkpoint on a catalog built without
+// Options.Dir: there is no directory to rotate into.
+var ErrNotDurable = errors.New("catalog: Checkpoint requires Options.Dir")
+
+// ManifestVersionError reports a CATALOG manifest written in a format
+// version this build does not read. Older formats (versions 1 and 2) are
+// refused rather than upgraded: recover such a directory with the build that
+// wrote it and Checkpoint it there, or re-register its queries.
+type ManifestVersionError struct {
+	Dir     string
+	Version uint32
+}
+
+func (e *ManifestVersionError) Error() string {
+	return fmt.Sprintf("catalog: %s holds a version-%d CATALOG manifest; this build reads version %d only",
+		e.Dir, e.Version, catalogVersion)
+}
 
 // durableState is the catalog's persistence handle.
 type durableState struct {
@@ -79,9 +96,7 @@ type durableState struct {
 }
 
 // catEntry is one manifest line: the registration (id, sql), its set (setID,
-// since, baseSQL, founded) and its probe plan (shared, spec). A version-1
-// manifest leaves the plan zero with derive set, and recovery re-derives it
-// from the SQL.
+// since, baseSQL, founded) and its probe plan (shared, spec).
 type catEntry struct {
 	id      QueryID
 	setID   uint64
@@ -91,7 +106,16 @@ type catEntry struct {
 	founded uint64
 	shared  bool
 	spec    engine.ProbeSpec
-	derive  bool
+}
+
+// manifest is a decoded CATALOG file.
+type manifest struct {
+	gen, nextID, nextSet uint64
+	// appliedBase is the catalog's lifetime batch count before this
+	// generation's WAL: the founding epoch of record 0.
+	appliedBase uint64
+	partitionBy []string
+	entries     []catEntry
 }
 
 func walPath(dir string, gen uint64) string { return checkpoint.WALPath(dir, gen, 0) }
@@ -190,27 +214,27 @@ func (s *Service) manifestEntriesLocked() []catEntry {
 // generation's WAL — is constant between rotations, so any manifest write
 // within a generation records the same value.
 func (s *Service) writeManifestLocked() error {
-	return writeCatalogFile(s.dur.dir, s.dur.gen, uint64(s.nextID), s.nextSet,
-		s.applied-s.records, s.opt.PartitionBy, s.manifestEntriesLocked())
+	return writeCatalogFile(s.dur.dir, manifest{gen: s.dur.gen, nextID: uint64(s.nextID), nextSet: s.nextSet,
+		appliedBase: s.applied - s.records, partitionBy: s.opt.PartitionBy, entries: s.manifestEntriesLocked()})
 }
 
 // writeCatalogFile writes the CATALOG manifest: magic, then one CRC-framed
 // record, installed by tmp+rename+sync so readers see the old manifest or
 // the new one, never a torn mix.
-func writeCatalogFile(dir string, gen, nextID, nextSet, appliedBase uint64, partitionBy []string, entries []catEntry) error {
+func writeCatalogFile(dir string, m manifest) error {
 	var rec bytes.Buffer
 	e := checkpoint.NewEncoder(&rec)
 	e.U32(catalogVersion)
-	e.U64(gen)
-	e.U64(nextID)
-	e.U64(nextSet)
-	e.U64(appliedBase)
-	e.U32(uint32(len(partitionBy)))
-	for _, c := range partitionBy {
+	e.U64(m.gen)
+	e.U64(m.nextID)
+	e.U64(m.nextSet)
+	e.U64(m.appliedBase)
+	e.U32(uint32(len(m.partitionBy)))
+	for _, c := range m.partitionBy {
 		e.Str(c)
 	}
-	e.U32(uint32(len(entries)))
-	for _, ent := range entries {
+	e.U32(uint32(len(m.entries)))
+	for _, ent := range m.entries {
 		e.U64(uint64(ent.id))
 		e.U64(ent.setID)
 		e.U64(ent.since)
@@ -262,39 +286,42 @@ func writeCatalogFile(dir string, gen, nextID, nextSet, appliedBase uint64, part
 }
 
 // readCatalogFile loads and validates the CATALOG manifest.
-func readCatalogFile(dir string) (gen, nextID, nextSet, appliedBase uint64, partitionBy []string, entries []catEntry, err error) {
+func readCatalogFile(dir string) (manifest, error) {
 	b, err := os.ReadFile(filepath.Join(dir, catalogName))
 	if err != nil {
-		return 0, 0, 0, 0, nil, nil, err
+		return manifest{}, err
 	}
+	return decodeCatalog(dir, b)
+}
+
+// decodeCatalog parses a CATALOG file's bytes; dir only labels errors.
+func decodeCatalog(dir string, b []byte) (manifest, error) {
+	var m manifest
 	if len(b) < len(catalogMagic) || string(b[:len(catalogMagic)]) != catalogMagic {
-		return 0, 0, 0, 0, nil, nil, fmt.Errorf("catalog: bad CATALOG magic in %s", dir)
+		return m, fmt.Errorf("catalog: bad CATALOG magic in %s", dir)
 	}
 	rec, err := checkpoint.ReadRecord(bytes.NewReader(b[len(catalogMagic):]))
 	if err != nil {
-		return 0, 0, 0, 0, nil, nil, fmt.Errorf("catalog: CATALOG manifest: %w", err)
+		return m, fmt.Errorf("catalog: CATALOG manifest: %w", err)
 	}
 	d := checkpoint.NewDecoder(bytes.NewReader(rec))
-	v := d.U32()
-	if d.Err() == nil && (v < 1 || v > catalogVersion) {
-		return 0, 0, 0, 0, nil, nil, fmt.Errorf("catalog: unsupported CATALOG version %d", v)
+	if v := d.U32(); d.Err() == nil && v != catalogVersion {
+		return m, &ManifestVersionError{Dir: dir, Version: v}
 	}
-	gen = d.U64()
-	nextID = d.U64()
-	nextSet = d.U64()
-	if v >= 3 {
-		appliedBase = d.U64()
-	}
+	m.gen = d.U64()
+	m.nextID = d.U64()
+	m.nextSet = d.U64()
+	m.appliedBase = d.U64()
 	np := d.U32()
 	if d.Err() == nil && np > maxManifestQueries {
-		return 0, 0, 0, 0, nil, nil, fmt.Errorf("catalog: implausible partition-column count %d", np)
+		return m, fmt.Errorf("catalog: implausible partition-column count %d", np)
 	}
 	for i := uint32(0); i < np && d.Err() == nil; i++ {
-		partitionBy = append(partitionBy, d.Str())
+		m.partitionBy = append(m.partitionBy, d.Str())
 	}
 	nq := d.U32()
 	if d.Err() == nil && nq > maxManifestQueries {
-		return 0, 0, 0, 0, nil, nil, fmt.Errorf("catalog: implausible query count %d", nq)
+		return m, fmt.Errorf("catalog: implausible query count %d", nq)
 	}
 	for i := uint32(0); i < nq && d.Err() == nil; i++ {
 		ent := catEntry{
@@ -303,44 +330,25 @@ func readCatalogFile(dir string) (gen, nextID, nextSet, appliedBase uint64, part
 			since: d.U64(),
 			sql:   d.Str(),
 		}
-		switch {
-		case v >= 3:
-			flags := d.U8()
-			ent.spec.Const = d.F64()
-			ent.baseSQL = d.Str()
-			ent.spec.Kind = query.AggKind(d.U8())
-			ent.spec.ResidualCol = d.Str()
-			ent.spec.ResidualOp = query.CmpOp(d.U8())
-			ent.spec.ResidualVal = d.F64()
-			ent.founded = d.U64()
-			ent.shared = flags&entryShared != 0
-			ent.spec.Residual = flags&entryResidual != 0
-			if !ent.spec.Residual {
-				ent.spec.ResidualCol, ent.spec.ResidualOp, ent.spec.ResidualVal = "", 0, 0
-			}
-		case v == 2:
-			// Threshold-family era: every shared plan was a SUM lane at the
-			// persisted constant. The founding SQL was not recorded; the
-			// lowest surviving member stands in, and founded is approximated
-			// by since (exact for any catalog that had not rotated, and never
-			// later than the truth).
-			flags := d.U8()
-			ent.spec.Const = d.F64()
-			ent.shared = flags&entryShared != 0
-			ent.spec.Kind = query.Sum
-			ent.founded = ent.since
-		default:
-			// Pre-family manifest: plans are re-derived from the SQL during
-			// recovery.
-			ent.derive = true
-			ent.founded = ent.since
+		flags := d.U8()
+		ent.spec.Const = d.F64()
+		ent.baseSQL = d.Str()
+		ent.spec.Kind = query.AggKind(d.U8())
+		ent.spec.ResidualCol = d.Str()
+		ent.spec.ResidualOp = query.CmpOp(d.U8())
+		ent.spec.ResidualVal = d.F64()
+		ent.founded = d.U64()
+		ent.shared = flags&entryShared != 0
+		ent.spec.Residual = flags&entryResidual != 0
+		if !ent.spec.Residual {
+			ent.spec.ResidualCol, ent.spec.ResidualOp, ent.spec.ResidualVal = "", 0, 0
 		}
-		entries = append(entries, ent)
+		m.entries = append(m.entries, ent)
 	}
 	if err := d.Err(); err != nil {
-		return 0, 0, 0, 0, nil, nil, fmt.Errorf("catalog: CATALOG manifest: %w", err)
+		return m, fmt.Errorf("catalog: CATALOG manifest: %w", err)
 	}
-	return gen, nextID, nextSet, appliedBase, partitionBy, entries, nil
+	return m, nil
 }
 
 func catalogSyncDir(dir string) error {
@@ -362,8 +370,11 @@ func (s *Service) Checkpoint() error {
 	if s.closed {
 		return ErrClosed
 	}
+	if s.rep != nil {
+		return ErrReadOnly
+	}
 	if s.dur == nil {
-		return errors.New("catalog: Checkpoint requires Options.Dir")
+		return ErrNotDurable
 	}
 	return s.rotateLocked()
 }
@@ -407,7 +418,8 @@ func (s *Service) rotateLocked() error {
 	for i := range entries {
 		entries[i].since = 0
 	}
-	if err := writeCatalogFile(dir, newGen, uint64(s.nextID), s.nextSet, s.applied, s.opt.PartitionBy, entries); err != nil {
+	if err := writeCatalogFile(dir, manifest{gen: newGen, nextID: uint64(s.nextID), nextSet: s.nextSet,
+		appliedBase: s.applied, partitionBy: s.opt.PartitionBy, entries: entries}); err != nil {
 		newWAL.Close()
 		os.Remove(walPath(dir, newGen))
 		os.RemoveAll(filepath.Join(dir, fmt.Sprintf("g%d", newGen)))
@@ -435,168 +447,273 @@ func (s *Service) rotateLocked() error {
 // rotation snapshot), and the shared WAL replays into every set that had not
 // yet seen its records. Recovery ends with a generation rotation, so the
 // next crash replays only what follows. opt.Dir names the directory;
-// opt.PartitionBy, when set, must match the persisted columns.
+// opt.PartitionBy, when set, must match the persisted columns. A manifest in
+// an older format is refused with a *ManifestVersionError before anything
+// in the directory is touched.
 func Recover(opt Options) (*Service, error) {
 	if opt.Dir == "" {
 		return nil, errors.New("catalog: Recover requires Options.Dir")
 	}
-	gen, nextID, nextSet, appliedBase, partitionBy, entries, err := readCatalogFile(opt.Dir)
+	m, err := readCatalogFile(opt.Dir)
 	if err != nil {
 		return nil, err
 	}
-	if len(opt.PartitionBy) > 0 && !equalStrings(opt.PartitionBy, partitionBy) {
-		return nil, fmt.Errorf("catalog: partition columns %v do not match persisted %v", opt.PartitionBy, partitionBy)
+	s, err := fromManifest(opt, m)
+	if err != nil {
+		return nil, err
 	}
-	opt.PartitionBy = partitionBy
-	s := &Service{
-		opt:      opt,
-		regs:     make(map[QueryID]*registration),
-		sets:     make(map[string]*execSet),
-		states:   make(map[string]*execSet),
-		baseKeys: make(map[string]*execSet),
-		nextID:   QueryID(nextID),
-		nextSet:  nextSet,
+	idx, err := replayWAL(walPath(opt.Dir, m.gen), s.distinctSetsLocked(), math.MaxUint64)
+	if err != nil {
+		s.closeSets()
+		return nil, fmt.Errorf("catalog: WAL replay: %w", err)
 	}
-	if s.nextID < 1 {
-		s.nextID = 1
-	}
-	if s.nextSet < 1 {
-		s.nextSet = 1
-	}
+	s.records = idx
+	s.applied = m.appliedBase + idx
 
-	// Rebuild executor sets: group manifest entries by set, restore each set
-	// from its snapshot directory when one exists.
+	// Rotate to a fresh generation so the replayed WAL is compacted away.
+	// CreateWAL truncates, so the old WAL must never be reopened for append.
+	s.dur = &durableState{dir: opt.Dir, gen: m.gen}
+	if err := s.rotateLocked(); err != nil {
+		s.closeSets()
+		return nil, err
+	}
+	return s, nil
+}
+
+// fromManifest builds a catalog holding m's registrations, every state set
+// restored to its on-disk state as of WAL record since. Recover and
+// OpenReplica both start here.
+func fromManifest(opt Options, m manifest) (*Service, error) {
+	if len(opt.PartitionBy) > 0 && !slices.Equal(opt.PartitionBy, m.partitionBy) {
+		return nil, fmt.Errorf("catalog: partition columns %v do not match persisted %v", opt.PartitionBy, m.partitionBy)
+	}
+	opt.PartitionBy = m.partitionBy
+	s := newService(opt)
+	s.nextID = max(QueryID(m.nextID), 1)
+	s.nextSet = max(m.nextSet, 1)
+	t, err := s.loadManifest(m, nil, false, 0)
+	if err != nil {
+		return nil, err
+	}
+	s.tables = t
+	if err := s.installAllLanesLocked(); err != nil {
+		s.closeSets()
+		return nil, err
+	}
+	return s, nil
+}
+
+// loadManifest builds the registration tables for manifest m without
+// touching s's own tables. A state set found in live (by set ID) is kept:
+// its members and lanes are recomputed, and with reload set (m is a newer
+// generation than live was loaded under) its state is reloaded in place from
+// m's snapshots, so subscriptions stay attached. Every other set is opened
+// from disk by openSet and then fed WAL records [since, replayTo) — the
+// records a replica already applied to the sets it kept. On error the
+// opened sets are closed, but a kept set may already hold m's state —
+// callers retry with the same m.
+func (s *Service) loadManifest(m manifest, live map[uint64]*execSet, reload bool, replayTo uint64) (tables, error) {
 	bySet := make(map[uint64][]catEntry)
 	var setIDs []uint64
-	for _, ent := range entries {
+	for _, ent := range m.entries {
 		if _, ok := bySet[ent.setID]; !ok {
 			setIDs = append(setIDs, ent.setID)
 		}
 		bySet[ent.setID] = append(bySet[ent.setID], ent)
 	}
-	sort.Slice(setIDs, func(i, j int) bool { return setIDs[i] < setIDs[j] })
-	closeAll := func() {
-		for _, set := range s.sets {
+	slices.Sort(setIDs)
+	var opened []*execSet
+	fail := func(err error) (tables, error) {
+		for _, set := range opened {
 			set.svc.Close()
 		}
+		return tables{}, err
 	}
-	serveOpt := s.serveOptions()
+
+	// Parse everything and bring every set's state into place first; the
+	// tables are assembled only once nothing can fail.
+	type member struct {
+		ent   catEntry
+		q     *query.Query
+		plan  engine.Plan
+		canon string
+	}
+	members := make(map[uint64][]member, len(setIDs))
+	sets := make(map[uint64]*execSet, len(setIDs))
 	for _, sid := range setIDs {
 		ents := bySet[sid]
-		// Parse and plan every member: one set's members have distinct SQL
-		// (same maintained state, different probe plans), so a per-entry plan
-		// is required.
-		qs := make([]*query.Query, len(ents))
-		plans := make([]engine.Plan, len(ents))
-		for i, ent := range ents {
+		for _, ent := range ents {
 			q, err := sqlparse.Parse(ent.sql)
 			if err != nil {
-				closeAll()
-				return nil, fmt.Errorf("catalog: manifest query %d: %w", ent.id, err)
+				return fail(fmt.Errorf("catalog: manifest query %d: %w", ent.id, err))
 			}
 			plan, err := engine.Describe(q)
 			if err != nil {
-				closeAll()
-				return nil, fmt.Errorf("catalog: manifest query %d: %w", ent.id, err)
+				return fail(fmt.Errorf("catalog: manifest query %d: %w", ent.id, err))
 			}
-			qs[i], plans[i] = q, plan
+			members[sid] = append(members[sid], member{ent: ent, q: q, plan: plan, canon: q.String()})
 		}
-		// The set's executors run its founder's query (version-3 manifests
-		// record it; older manifests fall back to the lowest surviving member,
-		// whose canonical form matched its set in those eras).
-		baseSQL := ents[0].sql
-		for _, ent := range ents {
-			if ent.baseSQL != "" {
-				baseSQL = ent.baseSQL
-				break
+		set := live[sid]
+		switch {
+		case set == nil:
+			var err error
+			if set, err = s.openSet(m, ents[0]); err != nil {
+				return fail(fmt.Errorf("catalog: recover set %d: %w", sid, err))
 			}
-		}
-		bq, err := sqlparse.Parse(baseSQL)
-		if err != nil {
-			closeAll()
-			return nil, fmt.Errorf("catalog: set %d founding query: %w", sid, err)
-		}
-		exec, stateKey, baseKey, baseSpec, setShared := deriveState(bq, partitionBy)
-		sd := setDir(opt.Dir, gen, sid)
-		fd := forkDir(opt.Dir, gen, sid, ents[0].since)
-		var svc *serve.Service[engine.Event]
-		snapDir, snapAt := "", uint64(0)
-		if _, statErr := os.Stat(fd); statErr == nil {
-			// A late joiner forked this set at record `since`; the fork is the
-			// newest committed state.
-			svc, err = serve.RecoverForQuery(fd, exec, partitionBy, serveOpt)
-			snapDir, snapAt = fd, ents[0].since
-		} else if !errors.Is(statErr, os.ErrNotExist) {
-			err = statErr
-		} else if _, statErr := os.Stat(sd); statErr == nil {
-			svc, err = serve.RecoverForQuery(sd, exec, partitionBy, serveOpt)
-			snapDir, snapAt = sd, ents[0].since
-		} else if errors.Is(statErr, os.ErrNotExist) {
-			// Registered after the last checkpoint: state lives in the WAL
-			// suffix alone.
-			svc, err = serve.ForQuery(exec, partitionBy, serveOpt)
-		} else {
-			err = statErr
-		}
-		if err != nil {
-			closeAll()
-			return nil, fmt.Errorf("catalog: recover set %d: %w", sid, err)
-		}
-		set := &execSet{setID: sid, canon: bq.String(), baseSQL: baseSQL, q: exec,
-			stateKey: stateKey, baseKey: baseKey,
-			refs: make(map[QueryID]struct{}), svc: svc,
-			since: ents[0].since, founded: ents[0].founded,
-			snapDir: snapDir, snapAt: snapAt}
-		if setShared {
-			set.lanes = make(map[engine.ProbeSpec]int)
-			set.baseSpec = baseSpec
-			set.baseSpec.Kind = exec.Outer
-		}
-		for i, ent := range ents {
-			spec, shared := ent.spec, ent.shared
-			if ent.derive {
-				// Pre-family (v1) manifest: the probe plan comes from the
-				// member's own SQL. v1 members of one set share a canonical
-				// form, so the derivation cannot diverge from the set's.
-				spec, shared = deriveSpec(qs[i], partitionBy)
-			}
-			if shared && set.lanes != nil {
-				set.lanes[spec]++
-			}
-			set.refs[ent.id] = struct{}{}
-			s.regs[ent.id] = &registration{id: ent.id, sql: ent.sql, set: set,
-				plan: plans[i], canon: qs[i].String(), shared: shared && set.lanes != nil, spec: spec}
-			// Newest set per canonical form wins the join table (higher
-			// setID == created later); every member registers its own form.
-			if prev, ok := s.sets[qs[i].String()]; !ok || prev.setID < sid {
-				s.sets[qs[i].String()] = set
-			}
-		}
-		if setShared {
-			if prev, ok := s.states[stateKey]; !ok || prev.setID < sid {
-				s.states[stateKey] = set
-			}
-			if baseKey != "" {
-				if prev, ok := s.baseKeys[baseKey]; !ok || prev.setID < sid {
-					s.baseKeys[baseKey] = set
+			opened = append(opened, set)
+			if set.since < replayTo {
+				n, err := replayWAL(walPath(s.opt.Dir, m.gen), []*execSet{set}, replayTo)
+				if err == nil && n != replayTo {
+					err = fmt.Errorf("WAL holds %d of %d records", n, replayTo)
+				}
+				if err != nil {
+					return fail(fmt.Errorf("catalog: catch up set %d: %w", sid, err))
 				}
 			}
-			// Reinstall the probe lanes the live catalog was serving, before
-			// WAL replay maintains them (a no-op while every member reads the
-			// base result).
-			if err := s.installLanesLocked(set); err != nil {
-				closeAll()
-				return nil, fmt.Errorf("catalog: recover set %d: %w", sid, err)
+		case reload:
+			snap, err := s.snapshotOf(m.gen, sid, ents[0].since)
+			if err == nil && snap == "" {
+				err = fmt.Errorf("no snapshot in generation %d", m.gen)
+			}
+			if err == nil {
+				err = set.svc.LoadCheckpoint(snap)
+			}
+			if err != nil {
+				return fail(fmt.Errorf("catalog: reload set %d: %w", sid, err))
+			}
+			set.since, set.snapDir, set.snapAt = ents[0].since, snap, ents[0].since
+		}
+		sets[sid] = set
+	}
+
+	t := newTables()
+	for _, sid := range setIDs {
+		set := sets[sid]
+		set.refs = make(map[QueryID]struct{})
+		if set.lanes != nil {
+			set.lanes = make(map[engine.ProbeSpec]int)
+		}
+		for _, mb := range members[sid] {
+			shared := mb.ent.shared && set.lanes != nil
+			if shared {
+				set.lanes[mb.ent.spec]++
+			}
+			set.refs[mb.ent.id] = struct{}{}
+			t.regs[mb.ent.id] = &registration{id: mb.ent.id, sql: mb.ent.sql, set: set,
+				plan: mb.plan, canon: mb.canon, shared: shared, spec: mb.ent.spec}
+			// Newest set per canonical form wins the join table (higher
+			// setID == created later); every member registers its own form.
+			if prev, ok := t.sets[mb.canon]; !ok || prev.setID < sid {
+				t.sets[mb.canon] = set
+			}
+		}
+		if set.lanes != nil {
+			if prev, ok := t.states[set.stateKey]; !ok || prev.setID < sid {
+				t.states[set.stateKey] = set
+			}
+			if set.baseKey != "" {
+				if prev, ok := t.baseKeys[set.baseKey]; !ok || prev.setID < sid {
+					t.baseKeys[set.baseKey] = set
+				}
 			}
 		}
 	}
+	return t, nil
+}
 
-	// Replay the shared WAL: record i fans out to every set with since <= i.
-	sets := s.distinctSetsLocked()
+// openSet builds the state set a manifest entry's set ID names, restored to
+// its state as of WAL record ent.since of m's generation.
+func (s *Service) openSet(m manifest, ent catEntry) (*execSet, error) {
+	bq, err := sqlparse.Parse(ent.baseSQL)
+	if err != nil {
+		return nil, fmt.Errorf("founding query: %w", err)
+	}
+	exec, stateKey, baseKey, baseSpec, shared := deriveState(bq, m.partitionBy)
+	snap, err := s.snapshotOf(m.gen, ent.setID, ent.since)
+	if err != nil {
+		return nil, err
+	}
+	var svc *serve.Service[engine.Event]
+	if snap != "" {
+		svc, err = serve.RestoreForQuery(snap, exec, m.partitionBy, s.serveOptions())
+	} else {
+		// Founded after the generation's rotation: its state lives in the
+		// WAL suffix alone.
+		svc, err = serve.ForQuery(exec, m.partitionBy, s.serveOptions())
+	}
+	if err != nil {
+		return nil, err
+	}
+	set := &execSet{setID: ent.setID, canon: bq.String(), baseSQL: ent.baseSQL, q: exec,
+		stateKey: stateKey, baseKey: baseKey, svc: svc,
+		since: ent.since, founded: ent.founded, snapDir: snap}
+	if snap != "" {
+		set.snapAt = ent.since
+	}
+	if shared {
+		set.lanes = make(map[engine.ProbeSpec]int)
+		set.baseSpec = baseSpec
+		set.baseSpec.Kind = exec.Outer
+	}
+	return set, nil
+}
+
+// snapshotOf locates a set's newest committed snapshot in generation gen: the
+// fork a late joiner took at record since, else the rotation snapshot. It
+// returns "" when the set has neither (founded after the rotation).
+func (s *Service) snapshotOf(gen, setID, since uint64) (string, error) {
+	for _, dir := range []string{forkDir(s.opt.Dir, gen, setID, since), setDir(s.opt.Dir, gen, setID)} {
+		if _, err := os.Stat(dir); err == nil {
+			return dir, nil
+		} else if !errors.Is(err, os.ErrNotExist) {
+			return "", err
+		}
+	}
+	return "", nil
+}
+
+// installAllLanesLocked reinstalls every shared set's probe lanes from its
+// members' plans (a no-op while every member reads the base result).
+// Callers hold mu for write.
+func (s *Service) installAllLanesLocked() error {
+	for _, set := range s.distinctSetsLocked() {
+		if set.lanes == nil {
+			continue
+		}
+		if err := s.installLanesLocked(set); err != nil {
+			return fmt.Errorf("catalog: set %d lanes: %w", set.setID, err)
+		}
+	}
+	return nil
+}
+
+// fanOutRecord applies WAL record idx to every set whose state does not
+// already include it (since <= idx) — exactly the fan-out ApplyBatch
+// performed when the record was written.
+func fanOutRecord(sets []*execSet, idx uint64, batch []engine.Event) error {
+	for _, set := range sets {
+		if set.since <= idx {
+			if err := set.svc.ApplyBatch(batch); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// errStopReplay ends replayWAL's read at its stop index.
+var errStopReplay = errors.New("catalog: replay stop")
+
+// replayWAL reads records [0, stop) of the WAL at path, fanning each out to
+// sets, and returns the number of records read. A torn tail ends the log.
+func replayWAL(path string, sets []*execSet, stop uint64) (uint64, error) {
 	var dec engine.EventDecoder
 	var batch []engine.Event
 	idx := uint64(0)
-	_, _, err = checkpoint.ReadWAL(walPath(opt.Dir, gen), func(rec []byte) error {
+	_, _, err := checkpoint.ReadWAL(path, func(rec []byte) error {
+		if idx >= stop {
+			return errStopReplay
+		}
 		batch = batch[:0]
 		if err := decodeBatchRecord(rec, &dec, func(e engine.Event) error {
 			batch = append(batch, e)
@@ -604,41 +721,14 @@ func Recover(opt Options) (*Service, error) {
 		}); err != nil {
 			return err
 		}
-		for _, set := range sets {
-			if set.since <= idx {
-				if err := set.svc.ApplyBatch(batch); err != nil {
-					return err
-				}
-			}
+		if err := fanOutRecord(sets, idx, batch); err != nil {
+			return err
 		}
 		idx++
 		return nil
 	})
-	if err != nil {
-		closeAll()
-		return nil, fmt.Errorf("catalog: WAL replay: %w", err)
+	if errors.Is(err, errStopReplay) {
+		err = nil
 	}
-	s.records = idx
-	s.applied = appliedBase + idx
-
-	// Rotate to a fresh generation so the replayed WAL is compacted away.
-	// CreateWAL truncates, so the old WAL must never be reopened for append.
-	s.dur = &durableState{dir: opt.Dir, gen: gen}
-	if err := s.rotateLocked(); err != nil {
-		closeAll()
-		return nil, err
-	}
-	return s, nil
-}
-
-func equalStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	return idx, err
 }

@@ -71,7 +71,7 @@ func Describe(q *query.Query) (Plan, error) {
 // rendering with every literal constant masked to "?". Two queries with equal
 // signatures have identical predicate structure over the same relation — the
 // shape the catalog's family-sharing rule starts from (the family key
-// additionally preserves non-threshold constants; see FamilyKey).
+// additionally preserves non-threshold constants; see StateKey).
 //
 // The rendering is deterministic across spellings of the same predicate
 // structure:

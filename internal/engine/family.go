@@ -11,14 +11,19 @@ import (
 // only in their threshold constant (`price < 0.75*SUM(...)` vs
 // `price < 0.9*SUM(...)`) form a *family* that shares one executor's
 // maintained state, because the RPAI index answers any threshold as a probe
-// point. FamilyKey decides membership and extracts the constant; ResultFan
-// answers all of a family's thresholds against one executor, each lane
-// bit-identical to a dedicated executor's Result.
+// point. familyKeys decides membership and extracts the constant (StateKey
+// builds the state-set identity on it); ResultFan answers all of a family's
+// thresholds against one executor, each lane bit-identical to a dedicated
+// executor's Result.
 
-// FamilyKey reports whether q is eligible for threshold-family sharing, and
+// familyKeys reports whether q is eligible for threshold-family sharing, and
 // if so returns the family key — a canonical rendering of everything that
 // shapes the executor's *maintained* state, with only the read-time
-// threshold constant masked — plus that constant.
+// threshold constant masked — plus that constant. It also renders baseKey —
+// the key with the aggregate term masked to "#", identifying the maintained
+// state that does not depend on the term (the count index and the
+// correlation structure) — and reports whether the executor maintains a
+// count side at all. StateKey builds the StateSet identity from these.
 //
 // Unlike PredSig, which masks every constant, the family key preserves
 // constants that feed maintenance (subquery filter thresholds, correlated
@@ -30,16 +35,6 @@ import (
 // whose Result reads the index at the threshold without consulting it during
 // Apply. The key is orientation-normalized by construction: it is built from
 // the executor's analyzed plan, which already folds flipped spellings.
-func FamilyKey(q *query.Query) (key string, constant float64, ok bool) {
-	key, _, constant, _, ok = familyKeys(q)
-	return key, constant, ok
-}
-
-// familyKeys is FamilyKey's full form: it also renders baseKey — the key
-// with the aggregate term masked to "#", identifying the maintained state
-// that does not depend on the term (the count index and the correlation
-// structure) — and reports whether the executor maintains a count side at
-// all. StateKey builds the StateSet identity from these.
 func familyKeys(q *query.Query) (key, baseKey string, constant float64, hasCnt, ok bool) {
 	if len(q.GroupBy) > 0 || len(q.Preds) != 1 {
 		return "", "", 0, false, false

@@ -17,14 +17,25 @@ func vwapAt(c float64) *query.Query {
 	return q
 }
 
-func TestFamilyKey(t *testing.T) {
-	kA, cA, okA := FamilyKey(vwapAt(0.75))
-	kB, cB, okB := FamilyKey(vwapAt(0.9))
+// stateKeyConst is StateKey reduced to the threshold-family view: the state
+// identity plus the probe constant.
+func stateKeyConst(q *query.Query) (string, float64, bool) {
+	key, _, spec, ok := StateKey(q)
+	return key, spec.Const, ok
+}
+
+// TestStateKeyFamilies pins the threshold-family side of StateKey: constant
+// variants share one state key, flipped spellings converge, maintenance
+// constants stay unmasked, and multi-predicate or grouped shapes are
+// ineligible.
+func TestStateKeyFamilies(t *testing.T) {
+	kA, cA, okA := stateKeyConst(vwapAt(0.75))
+	kB, cB, okB := stateKeyConst(vwapAt(0.9))
 	if !okA || !okB {
 		t.Fatalf("vwap variants should be family-eligible")
 	}
 	if kA != kB {
-		t.Errorf("constant variants should share a family key:\n a %s\n b %s", kA, kB)
+		t.Errorf("constant variants should share a state key:\n a %s\n b %s", kA, kB)
 	}
 	if cA != 0.75 || cB != 0.9 {
 		t.Errorf("constants: got %v, %v", cA, cB)
@@ -35,7 +46,7 @@ func TestFamilyKey(t *testing.T) {
 	flipped := vwapAt(0.75)
 	p := flipped.Preds[0]
 	flipped.Preds[0] = query.Predicate{Left: p.Right, Op: p.Op.Flip(), Right: p.Left}
-	kF, cF, okF := FamilyKey(flipped)
+	kF, cF, okF := stateKeyConst(flipped)
 	if !okF || kF != kA || cF != 0.75 {
 		t.Errorf("flipped spelling: ok=%v key match=%v const=%v", okF, kF == kA, cF)
 	}
@@ -48,8 +59,8 @@ func TestFamilyKey(t *testing.T) {
 		q.Preds[0].Left.Sub.Filters = []query.FilterPred{{Inner: query.Col("volume"), Op: query.Gt, Value: v}}
 		return q
 	}
-	k1, _, ok1 := FamilyKey(withFilter(1))
-	k2, _, ok2 := FamilyKey(withFilter(2))
+	k1, _, ok1 := stateKeyConst(withFilter(1))
+	k2, _, ok2 := stateKeyConst(withFilter(2))
 	if !ok1 || !ok2 {
 		t.Skipf("filtered threshold subquery not family-eligible (strategy fell back); acceptable")
 	}
@@ -63,7 +74,7 @@ func TestFamilyKey(t *testing.T) {
 		"nested":   nq1Spec(),
 		"two-pred": twoPredSpec(),
 	} {
-		if k, _, ok := FamilyKey(q); ok {
+		if k, _, ok := stateKeyConst(q); ok {
 			t.Errorf("%s should not be family-eligible (key %s)", name, k)
 		}
 	}

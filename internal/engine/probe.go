@@ -236,8 +236,8 @@ func (ex *AggIndexExec) ResultProbe(specs []ProbeSpec, vals, cnts []float64) {
 // StateKey reports whether q can ride a shared state set, and if so returns
 // the set's identity and q's probe plan against it.
 //
-//   - key identifies the exact maintained state: everything FamilyKey
-//     preserves, including the aggregate term expression. Queries with equal
+//   - key identifies the exact maintained state: everything the family
+//     key (familyKeys) preserves, including the aggregate term expression. Queries with equal
 //     keys share a set outright, whatever their outer aggregate — the state
 //     carries both indexes.
 //   - baseKey is key with the aggregate term masked. A COUNT(*) variant

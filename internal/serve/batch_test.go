@@ -60,14 +60,13 @@ func TestApplyBatchMatchesApply(t *testing.T) {
 	}
 }
 
-// TestApplyBatchDurableRecovery drives a durable service exclusively through
-// ApplyBatch — so WAL records are genuinely multi-event group commits — and
-// checks recovery replays the framed batches back to the same state.
+// TestApplyBatchDurableRecovery drives a service exclusively through
+// ApplyBatch, checkpoints it, and checks the restored service — under a
+// different shard count — holds the same state.
 func TestApplyBatchDurableRecovery(t *testing.T) {
 	q := vwapSpec()
 	events := symEvents(29, 1500, 9)
-	dir := t.TempDir()
-	svc, err := ForQuery(q, []string{"sym"}, Options{Shards: 2, BatchSize: 32, Dir: dir})
+	svc, err := ForQuery(q, []string{"sym"}, Options{Shards: 2, BatchSize: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,14 +79,18 @@ func TestApplyBatchDurableRecovery(t *testing.T) {
 	if err := svc.Drain(); err != nil {
 		t.Fatal(err)
 	}
+	dir := t.TempDir()
+	if err := svc.Checkpoint(dir); err != nil {
+		t.Fatal(err)
+	}
 	if err := svc.Close(); err != nil {
 		t.Fatal(err)
 	}
-	rec, err := RecoverForQuery(dir, q, []string{"sym"}, Options{Shards: 3})
+	rec, err := RestoreForQuery(dir, q, []string{"sym"}, Options{Shards: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireSameGroups(t, "recovered", groupedMap(rec), serialReference(t, q, events))
+	requireSameGroups(t, "restored", groupedMap(rec), serialReference(t, q, events))
 	if err := rec.Close(); err != nil {
 		t.Fatal(err)
 	}

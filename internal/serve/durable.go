@@ -2,38 +2,30 @@ package serve
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
 	"sort"
-	"strings"
 
 	"rpai/internal/checkpoint"
 )
 
-// This file is the durability coordinator for a Service: Checkpoint fans a
-// snapshot request out to every shard worker, Recover rebuilds a service from
-// a checkpoint directory, and compactShard is the per-shard rotation both of
-// them (and the workers' own auto-compaction) share. All shard-state access
-// happens on the owning worker goroutine via control requests, so none of
-// this code takes locks on partition state.
+// This file is the snapshot side of a Service: Checkpoint fans a snapshot
+// request out to every shard worker and writes a standalone checkpoint
+// directory (one snapshot file per shard plus a MANIFEST), and
+// LoadCheckpoint swaps a checkpoint's partitions into a running service. A
+// service keeps no log of its own — the catalog's shared WAL is the only
+// one — so a checkpoint is snapshots only. All shard-state access happens on
+// the owning worker goroutine via control requests, so none of this code
+// takes locks on partition state.
 
-// compactShard snapshots one shard's partitions to dir under generation gen
-// and, when rotate is set, starts a fresh WAL at the next sequence number.
-// It runs on the shard's worker goroutine (via a control request or the
-// worker's own auto-compaction), so it owns ws exclusively.
-//
-// Rotation order matters for crash safety: the snapshot is renamed into
-// place first, then the WAL is recreated. A crash between the two leaves a
-// WAL whose Seq is below the snapshot's; recovery ignores it as stale, since
-// every event it holds is already inside the snapshot.
-func (s *Service[E]) compactShard(ws *workerState[E], dir string, gen uint64, rotate bool) error {
-	if ws.err != nil {
-		return ws.err
-	}
-	d := s.cfg.Durable
+// checkpointGen is the generation every exported checkpoint is written
+// under: an export is a standalone directory, never rotated in place.
+const checkpointGen = 1
+
+// snapshotShard writes one shard's partitions to dir. It runs on the shard's
+// worker goroutine via a control request, so it owns ws exclusively.
+func (s *Service[E]) snapshotShard(ws *workerState[E], dir string) error {
 	keys := make([]string, 0, len(ws.parts))
 	for k := range ws.parts {
 		keys = append(keys, k)
@@ -44,93 +36,37 @@ func (s *Service[E]) compactShard(ws *workerState[E], dir string, gen uint64, ro
 	for _, k := range keys {
 		p := ws.parts[k]
 		buf.Reset()
-		if err := d.Snapshot(&buf, p.vals, p.ex); err != nil {
+		if err := s.cfg.Durable.Snapshot(&buf, p.vals, p.ex); err != nil {
 			return fmt.Errorf("serve: snapshotting partition %v: %w", p.vals, err)
 		}
 		parts = append(parts, checkpoint.Partition{Key: p.vals, State: append([]byte(nil), buf.Bytes()...)})
 	}
-	seq := ws.seq + 1
-	h := checkpoint.Header{Gen: gen, Seq: seq, Shard: uint32(ws.idx), ShardCount: uint32(len(s.shards))}
-	if err := checkpoint.WriteSnapshotFile(checkpoint.SnapPath(dir, gen, ws.idx), h, parts); err != nil {
-		return err
-	}
-	if !rotate {
-		return nil
-	}
-	if ws.wal != nil {
-		if err := ws.wal.Close(); err != nil {
-			return err
-		}
-		ws.wal = nil
-	}
-	w, err := checkpoint.CreateWAL(checkpoint.WALPath(dir, gen, ws.idx), h)
-	if err != nil {
-		return err
-	}
-	ws.wal, ws.gen, ws.seq, ws.pending = w, gen, seq, 0
-	return nil
+	h := checkpoint.Header{Gen: checkpointGen, Shard: uint32(ws.idx), ShardCount: uint32(len(s.shards))}
+	return checkpoint.WriteSnapshotFile(checkpoint.SnapPath(dir, checkpointGen, ws.idx), h, parts)
 }
 
-// Checkpoint writes a consistent snapshot of every shard to dir.
-//
-// When dir is the service's own Durable.Dir, this is a full rotation: a new
-// generation is written, the per-shard WALs restart empty, the MANIFEST is
-// swapped only after every shard is durable, and the previous generation's
-// files are removed — so a crash at any point leaves either the old or the
-// new generation recoverable, never a mix. When dir is any other directory
-// the call exports a standalone generation-1 checkpoint (no WALs) that
-// Recover can open later; the live WALs are untouched.
+// Checkpoint writes a consistent snapshot of every shard to dir: one
+// snapshot file per shard, then the MANIFEST, so a directory with a MANIFEST
+// always holds a complete checkpoint. LoadCheckpoint (or Restore) reads it
+// back, under any shard count.
 //
 // Each shard snapshots between batches, so the checkpoint captures a
-// point-in-time state per partition. Checkpoint returns ErrClosed after
+// point-in-time state per partition; callers that need one cut across all
+// shards stop ingest and Drain first. Checkpoint returns ErrClosed after
 // Close.
 func (s *Service[E]) Checkpoint(dir string) error {
-	d := s.cfg.Durable
-	if d == nil || d.Snapshot == nil {
+	if s.cfg.Durable == nil || s.cfg.Durable.Snapshot == nil {
 		return errors.New("serve: Checkpoint requires Config.Durable.Snapshot")
-	}
-	s.ckMu.Lock()
-	defer s.ckMu.Unlock()
-	own := s.walEnabled() && filepath.Clean(dir) == filepath.Clean(d.Dir)
-	gen, rotate := uint64(1), false
-	if own {
-		gen, rotate = s.gen+1, true
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	dones := make([]chan error, len(s.shards))
-	s.mu.RLock()
-	if s.closed {
-		s.mu.RUnlock()
-		return ErrClosed
-	}
-	for i, sh := range s.shards {
-		done := make(chan error, 1)
-		dones[i] = done
-		sh.in <- item[E]{ctl: &ctl[E]{
-			fn:   func(ws *workerState[E]) error { return s.compactShard(ws, dir, gen, rotate) },
-			done: done,
-		}}
-	}
-	s.mu.RUnlock()
-	var first error
-	for _, done := range dones {
-		if err := <-done; err != nil && first == nil {
-			first = err
+	for i := range s.shards {
+		if err := s.control(i, func(ws *workerState[E]) error { return s.snapshotShard(ws, dir) }); err != nil {
+			return err
 		}
 	}
-	if first != nil {
-		return first
-	}
-	if err := checkpoint.WriteManifest(dir, checkpoint.Manifest{Gen: gen, Shards: uint32(len(s.shards))}); err != nil {
-		return err
-	}
-	if own {
-		s.gen = gen
-		removeStale(dir, gen, len(s.shards))
-	}
-	return nil
+	return checkpoint.WriteManifest(dir, checkpoint.Manifest{Gen: checkpointGen, Shards: uint32(len(s.shards))})
 }
 
 // control runs fn on shard i's worker goroutine and returns its error.
@@ -146,323 +82,93 @@ func (s *Service[E]) control(i int, fn func(ws *workerState[E]) error) error {
 	return <-done
 }
 
-// removeStale deletes checkpoint files that do not belong to the current
-// generation, plus orphaned temp files from interrupted writes. Temp files
-// of the current generation are left alone: a worker's auto-compaction may
-// be renaming one concurrently.
-func removeStale(dir string, gen uint64, shards int) {
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return
+// readCheckpoint loads every partition of the checkpoint in dir, restoring
+// each executor through d.Restore. Nothing is installed: a damaged or
+// incomplete checkpoint fails here, before any shard state is touched.
+func readCheckpoint[E any](dir string, d *Durable[E]) ([]*partition[E], error) {
+	m, err := checkpoint.ReadManifest(dir)
+	if errors.Is(err, os.ErrNotExist) {
+		return nil, fmt.Errorf("serve: %s is not a checkpoint directory", dir)
 	}
-	for _, ent := range ents {
-		name := ent.Name()
-		if base, _, found := strings.Cut(name, ".tmp-"); found {
-			g, sIdx, _, ok := checkpoint.ParseName(base)
-			live := ok && g == gen && sIdx < shards
-			if !live && (ok || strings.HasPrefix(base, checkpoint.ManifestName)) {
-				os.Remove(filepath.Join(dir, name))
-			}
-			continue
-		}
-		g, sIdx, _, ok := checkpoint.ParseName(name)
-		if ok && (g != gen || sIdx >= shards) {
-			os.Remove(filepath.Join(dir, name))
-		}
-	}
-}
-
-// errStopWAL aborts walHeader's read after the header record.
-var errStopWAL = errors.New("serve: stop after WAL header")
-
-// walHeader reads just a WAL file's header, without replaying its events.
-func walHeader(path string) (checkpoint.Header, error) {
-	h, _, err := checkpoint.ReadWAL(path, func([]byte) error { return errStopWAL })
-	if err != nil && !errors.Is(err, errStopWAL) {
-		return checkpoint.Header{}, err
-	}
-	return h, nil
-}
-
-// recoveredShard is one shard of a checkpoint generation as loaded from
-// disk: its restored partition executors plus the WAL to replay, if any.
-// seq is the snapshot sequence the state corresponds to (0 when the shard is
-// carried by a fresh WAL alone) — the alignment point WAL tailing resumes at.
-type recoveredShard[E any] struct {
-	parts   []*partition[E]
-	walPath string
-	seq     uint64
-}
-
-// scanGens lists the generations present in a checkpoint directory, highest
-// first.
-func scanGens(dir string) ([]uint64, error) {
-	ents, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
 	}
-	seen := map[uint64]bool{}
-	for _, ent := range ents {
-		if g, _, _, ok := checkpoint.ParseName(ent.Name()); ok {
-			seen[g] = true
-		}
-	}
-	gens := make([]uint64, 0, len(seen))
-	for g := range seen {
-		gens = append(gens, g)
-	}
-	sort.Slice(gens, func(i, j int) bool { return gens[i] > gens[j] })
-	return gens, nil
-}
-
-// loadGen loads one checkpoint generation, restoring every partition
-// executor and validating the snapshot/WAL sequence pairing. It returns an
-// error if the generation is incomplete or inconsistent, in which case the
-// caller falls back to the previous generation.
-func loadGen[E any](dir string, gen uint64, d *Durable[E]) ([]recoveredShard[E], error) {
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	hasSnap, hasWAL := map[int]bool{}, map[int]bool{}
-	for _, ent := range ents {
-		g, sIdx, isWAL, ok := checkpoint.ParseName(ent.Name())
-		if !ok || g != gen {
-			continue
-		}
-		if isWAL {
-			hasWAL[sIdx] = true
-		} else {
-			hasSnap[sIdx] = true
-		}
-	}
-	if len(hasSnap)+len(hasWAL) == 0 {
-		return nil, fmt.Errorf("generation %d: no files", gen)
-	}
-	type snapUnit struct {
-		h     checkpoint.Header
-		parts []checkpoint.Partition
-	}
-	var count uint32
-	note := func(h checkpoint.Header, kind string, i int) error {
-		if h.Gen != gen || int(h.Shard) != i {
-			return fmt.Errorf("generation %d shard %d %s: header says gen %d shard %d", gen, i, kind, h.Gen, h.Shard)
-		}
-		if count == 0 {
-			count = h.ShardCount
-		} else if h.ShardCount != count {
-			return fmt.Errorf("generation %d: inconsistent shard counts %d vs %d", gen, count, h.ShardCount)
-		}
-		return nil
-	}
-	snaps := map[int]snapUnit{}
-	walSeq := map[int]uint64{}
-	for i := range hasSnap {
-		h, parts, err := checkpoint.ReadSnapshotFile(checkpoint.SnapPath(dir, gen, i))
+	var out []*partition[E]
+	seen := make(map[string]bool)
+	for i := 0; i < int(m.Shards); i++ {
+		h, parts, err := checkpoint.ReadSnapshotFile(checkpoint.SnapPath(dir, m.Gen, i))
 		if err != nil {
-			return nil, fmt.Errorf("generation %d shard %d snapshot: %w", gen, i, err)
+			return nil, fmt.Errorf("serve: checkpoint %s shard %d: %w", dir, i, err)
 		}
-		if err := note(h, "snapshot", i); err != nil {
-			return nil, err
+		if h.Gen != m.Gen || int(h.Shard) != i || h.ShardCount != m.Shards {
+			return nil, fmt.Errorf("serve: checkpoint %s shard %d: header says gen %d shard %d of %d, manifest gen %d of %d",
+				dir, i, h.Gen, h.Shard, h.ShardCount, m.Gen, m.Shards)
 		}
-		snaps[i] = snapUnit{h: h, parts: parts}
-	}
-	for i := range hasWAL {
-		h, err := walHeader(checkpoint.WALPath(dir, gen, i))
-		if err != nil {
-			// A WAL whose header is torn was cut down mid-creation, before
-			// any event could be logged: with a valid snapshot the shard is
-			// still whole, without one the generation is unrecoverable.
-			if !hasSnap[i] {
-				return nil, fmt.Errorf("generation %d shard %d WAL: %w", gen, i, err)
-			}
-			continue
-		}
-		if err := note(h, "WAL", i); err != nil {
-			return nil, err
-		}
-		walSeq[i] = h.Seq
-	}
-	out := make([]recoveredShard[E], count)
-	for i := 0; i < int(count); i++ {
-		su, haveSnap := snaps[i]
-		seq, haveWAL := walSeq[i]
-		switch {
-		case haveSnap && haveWAL:
-			if seq > su.h.Seq {
-				return nil, fmt.Errorf("generation %d shard %d: WAL seq %d ahead of snapshot seq %d", gen, i, seq, su.h.Seq)
-			}
-			out[i].seq = su.h.Seq
-			if seq == su.h.Seq {
-				out[i].walPath = checkpoint.WALPath(dir, gen, i)
-			}
-			// seq < snapshot seq: stale WAL from a crash mid-rotation; the
-			// snapshot already contains everything it holds.
-		case haveSnap:
-			// Snapshot alone carries the shard.
-			out[i].seq = su.h.Seq
-		case haveWAL:
-			if seq != 0 {
-				return nil, fmt.Errorf("generation %d shard %d: WAL seq %d but no snapshot", gen, i, seq)
-			}
-			out[i].walPath = checkpoint.WALPath(dir, gen, i)
-		default:
-			return nil, fmt.Errorf("generation %d: shard %d of %d missing", gen, i, count)
-		}
-		for _, p := range su.parts {
+		for _, p := range parts {
 			ex, err := d.Restore(bytes.NewReader(p.State), p.Key)
 			if err != nil {
-				return nil, fmt.Errorf("generation %d shard %d partition %v: %w", gen, i, p.Key, err)
+				return nil, fmt.Errorf("serve: checkpoint %s partition %v: %w", dir, p.Key, err)
 			}
-			key := append([]float64(nil), p.Key...)
-			np := newPartition(key, ex)
+			// Normalize restored keys so they rehash onto the same shard as
+			// live events carrying the same key.
+			np := newPartition(normalizeVals(append([]float64(nil), p.Key...)), ex)
+			np.ekey = string(encodeKey(nil, np.vals))
+			if seen[np.ekey] {
+				return nil, fmt.Errorf("serve: duplicate partition %v in checkpoint %s", np.vals, dir)
+			}
+			seen[np.ekey] = true
 			np.last = ex.Result()
-			out[i].parts = append(out[i].parts, np)
+			out = append(out, np)
 		}
 	}
 	return out, nil
 }
 
-// Recover rebuilds a Service from the checkpoint directory dir: it loads the
-// highest complete generation (falling back past a partially written one),
-// restores every partition executor from its snapshot, replays the paired
-// WALs, and returns the service ready for new events.
-//
-// cfg.Shards need not match the checkpointed shard count — partitions are
-// rehashed onto the new shards, and per-partition event order is preserved
-// because each partition's WAL suffix lived on exactly one old shard.
-// cfg.Durable must provide Restore and DecodeEvent; when cfg.Durable.Dir is
-// set (normally dir itself), recovery finishes with a Checkpoint into it, so
-// the service resumes with compact state and fresh WALs.
-func Recover[E any](dir string, cfg Config[E]) (*Service[E], error) {
-	d := cfg.Durable
-	if d == nil || d.Restore == nil || d.DecodeEvent == nil {
-		return nil, errors.New("serve: Recover requires Config.Durable with Restore and DecodeEvent")
+// LoadCheckpoint replaces the service's entire state with the checkpoint in
+// dir, rehashing its partitions onto this service's shards (the shard count
+// need not match the one the checkpoint was written under). Events queued
+// before the call are applied first and then discarded with the state they
+// built. Every shard's next publication is a Full frame, because the
+// previous published state is not a delta base for the loaded one; the call
+// returns after that publication, so reads and subscribers see the loaded
+// state when it returns.
+func (s *Service[E]) LoadCheckpoint(dir string) error {
+	d := s.cfg.Durable
+	if d == nil || d.Restore == nil {
+		return errors.New("serve: LoadCheckpoint requires Config.Durable.Restore")
 	}
-	if _, err := checkpoint.ReadManifest(dir); err != nil {
-		if errors.Is(err, os.ErrNotExist) {
-			return nil, fmt.Errorf("serve: %s is not a checkpoint directory", dir)
+	parts, err := readCheckpoint(dir, d)
+	if err != nil {
+		return err
+	}
+	installs := make([][]*partition[E], len(s.shards))
+	for _, p := range parts {
+		t := int(hashVals(p.vals) % uint64(len(s.shards)))
+		installs[t] = append(installs[t], p)
+	}
+	for i, list := range installs {
+		list := list
+		if err := s.control(i, func(ws *workerState[E]) error {
+			ws.resetParts(list)
+			s.shards[ws.idx].partitions.Store(int64(len(ws.parts)))
+			ws.publishFull = true
+			return nil
+		}); err != nil {
+			return err
 		}
-		return nil, err
 	}
-	gens, err := scanGens(dir)
+	return s.Drain()
+}
+
+// Restore builds a service from cfg and loads the checkpoint in dir into it.
+func Restore[E any](dir string, cfg Config[E]) (*Service[E], error) {
+	svc, err := New(cfg)
 	if err != nil {
 		return nil, err
 	}
-	var (
-		gen     uint64
-		loaded  []recoveredShard[E]
-		lastErr error
-	)
-	for _, g := range gens {
-		l, err := loadGen(dir, g, d)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		gen, loaded = g, l
-		break
-	}
-	if loaded == nil {
-		if lastErr != nil {
-			return nil, fmt.Errorf("serve: no recoverable generation in %s: %w", dir, lastErr)
-		}
-		return nil, fmt.Errorf("serve: no checkpoint files in %s", dir)
-	}
-	svc, err := newService(cfg, true)
-	if err != nil {
-		return nil, err
-	}
-	svc.gen = gen
-	fail := func(err error) (*Service[E], error) {
+	if err := svc.LoadCheckpoint(dir); err != nil {
 		svc.Close()
 		return nil, err
 	}
-	// Rehash the restored partitions onto the (possibly different) shard
-	// count and install each batch on its owning worker. Installs are
-	// control requests on the same channels as events, so FIFO ordering
-	// guarantees every install lands before any replayed event.
-	installs := make([][]*partition[E], len(svc.shards))
-	for _, rs := range loaded {
-		for _, p := range rs.parts {
-			// Normalize restored keys so checkpoints written before the -0/NaN
-			// canonicalization still rehash onto the same shard as live events.
-			p.vals = normalizeVals(p.vals)
-			t := int(hashVals(p.vals) % uint64(len(svc.shards)))
-			installs[t] = append(installs[t], p)
-		}
-	}
-	for i, list := range installs {
-		if len(list) == 0 {
-			continue
-		}
-		list := list
-		if err := svc.control(i, func(ws *workerState[E]) error {
-			for _, p := range list {
-				p.ekey = string(encodeKey(nil, p.vals))
-				if _, dup := ws.parts[p.ekey]; dup {
-					return fmt.Errorf("serve: duplicate partition %v in checkpoint", p.vals)
-				}
-				ws.addPartition(p)
-			}
-			svc.shards[ws.idx].partitions.Store(int64(len(ws.parts)))
-			return nil
-		}); err != nil {
-			return fail(err)
-		}
-	}
-	for i, rs := range loaded {
-		if rs.walPath == "" {
-			continue
-		}
-		if _, _, err := checkpoint.ReadWAL(rs.walPath, func(rec []byte) error {
-			// Each WAL record is one group-committed batch: the batch's events
-			// concatenated with u32 length prefixes. Replaying them through
-			// Apply in frame order reproduces the original event order.
-			return forEachWALEvent(rec, func(p []byte) error {
-				ev, err := d.DecodeEvent(p)
-				if err != nil {
-					return err
-				}
-				return svc.Apply(ev)
-			})
-		}); err != nil {
-			return fail(fmt.Errorf("serve: replaying shard %d WAL: %w", i, err))
-		}
-	}
-	if err := svc.Drain(); err != nil {
-		return fail(err)
-	}
-	if svc.walEnabled() {
-		if d.Snapshot == nil {
-			return fail(errors.New("serve: Recover with Durable.Dir requires Durable.Snapshot"))
-		}
-		if err := svc.Checkpoint(d.Dir); err != nil {
-			return fail(err)
-		}
-	}
 	return svc, nil
-}
-
-// forEachWALEvent walks one group-committed WAL record — a concatenation of
-// u32-little-endian-length-prefixed event encodings — and calls fn on each
-// event payload in order. A truncated frame is an error: the WAL writer's own
-// record checksums make a torn record unreadable as a unit, so a bad frame
-// inside a readable record indicates corruption, not a torn tail.
-func forEachWALEvent(rec []byte, fn func(p []byte) error) error {
-	for len(rec) > 0 {
-		if len(rec) < 4 {
-			return fmt.Errorf("serve: truncated WAL batch frame header (%d bytes left)", len(rec))
-		}
-		n := binary.LittleEndian.Uint32(rec)
-		rec = rec[4:]
-		if uint64(n) > uint64(len(rec)) {
-			return fmt.Errorf("serve: WAL batch frame length %d exceeds record remainder %d", n, len(rec))
-		}
-		if err := fn(rec[:n]); err != nil {
-			return err
-		}
-		rec = rec[n:]
-	}
-	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"time"
 
 	"rpai/internal/engine"
 	"rpai/internal/query"
@@ -24,19 +25,30 @@ func fanVWAP(c float64) *query.Query {
 	}
 }
 
-// TestServeFanDifferential runs one fan service against K dedicated
-// services over the same event stream and checks FanResult,
-// FanResultGrouped and fan subscriptions are bit-identical per lane.
+// sumLanes returns one plain SUM probe spec per threshold constant.
+func sumLanes(consts []float64) []engine.ProbeSpec {
+	specs := make([]engine.ProbeSpec, len(consts))
+	for i, c := range consts {
+		specs[i] = engine.ProbeSpec{Kind: query.Sum, Const: c}
+	}
+	return specs
+}
+
+// TestServeFanDifferential runs one service carrying SUM threshold lanes
+// against K dedicated services over the same event stream and checks
+// ProbeResult, ProbeResultGrouped and lane subscriptions are bit-identical
+// per lane.
 func TestServeFanDifferential(t *testing.T) {
 	consts := []float64{0.3, 0.75, 0.9}
+	specs := sumLanes(consts)
 	opt := Options{Shards: 3, BatchSize: 8}
 	fam, err := ForQuery(fanVWAP(consts[1]), []string{"broker"}, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer fam.Close()
-	if err := fam.SetFan(consts); err != nil {
-		t.Fatalf("SetFan: %v", err)
+	if err := fam.SetProbes(specs); err != nil {
+		t.Fatalf("SetProbes: %v", err)
 	}
 	solo := make([]*Service[engine.Event], len(consts))
 	for i, c := range consts {
@@ -48,11 +60,11 @@ func TestServeFanDifferential(t *testing.T) {
 		solo[i] = s
 	}
 
-	// A fan subscription per lane, attached before ingest.
+	// A lane subscription per lane, attached before ingest.
 	subs := make([]*Subscription, len(consts))
-	for i := range consts {
-		c := consts[i]
-		sub, err := fam.Subscribe(SubOptions{FanConst: &c, Buffer: 1024})
+	for i := range specs {
+		sp := specs[i]
+		sub, err := fam.Subscribe(SubOptions{Probe: &sp, Buffer: 1024})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -97,15 +109,15 @@ func TestServeFanDifferential(t *testing.T) {
 			}
 		}
 		for i, c := range consts {
-			got, ok := fam.FanResult(c)
+			got, ok := fam.ProbeResult(specs[i])
 			if !ok {
 				t.Fatalf("batch %d: lane %v not installed", batch, c)
 			}
 			want := solo[i].Result()
 			if math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("batch %d lane %v: FanResult %v, solo %v", batch, c, got, want)
+				t.Fatalf("batch %d lane %v: ProbeResult %v, solo %v", batch, c, got, want)
 			}
-			gg, ok := fam.FanResultGrouped(c)
+			gg, ok := fam.ProbeResultGrouped(specs[i])
 			if !ok {
 				t.Fatalf("batch %d: grouped lane %v not installed", batch, c)
 			}
@@ -122,37 +134,33 @@ func TestServeFanDifferential(t *testing.T) {
 		}
 	}
 
-	// Replay each lane subscription's frames; the final state must equal the
-	// lane's grouped results.
+	// Replay each lane subscription's frames into a View until it reaches
+	// the lane's grouped results: the pump delivers asynchronously after the
+	// last publication, so the replay reads until it converges.
 	for i, c := range consts {
-		subs[i].Close()
-		state := map[string]float64{}
-		for fr := range subs[i].Frames() {
-			for _, g := range fr.Groups {
-				state[string(encodeKey(nil, g.Key))] = g.Value
-			}
-		}
-		want, _ := fam.FanResultGrouped(c)
-		if len(state) != len(want) {
-			t.Fatalf("lane %v: replay has %d groups, want %d", c, len(state), len(want))
-		}
-		for _, g := range want {
-			v, ok := state[string(encodeKey(nil, g.Key))]
-			if !ok || math.Float64bits(v) != math.Float64bits(g.Value) {
-				t.Fatalf("lane %v group %v: replay %v want %v", c, g.Key, v, g.Value)
+		want, _ := fam.ProbeResultGrouped(specs[i])
+		view := NewView()
+		deadline := time.After(10 * time.Second)
+		for !groupsIdentical(view.Grouped(), want) {
+			select {
+			case fr := <-subs[i].Frames():
+				if err := view.Apply(fr); err != nil {
+					t.Fatalf("lane %v: %v", c, err)
+				}
+			case <-deadline:
+				t.Fatalf("lane %v: replay never reached the lane's grouped results", c)
 			}
 		}
 	}
 
-	// SetFan with an unsupported lane set still leaves base reads intact;
-	// removing lanes disables fan reads.
-	if err := fam.SetFan(nil); err != nil {
-		t.Fatalf("SetFan(nil): %v", err)
+	// Removing the lanes disables lane reads.
+	if err := fam.SetProbes(nil); err != nil {
+		t.Fatalf("SetProbes(nil): %v", err)
 	}
 	if err := fam.Drain(); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := fam.FanResult(consts[0]); ok {
-		t.Fatalf("fan read succeeded after lanes removed")
+	if _, ok := fam.ProbeResult(specs[0]); ok {
+		t.Fatalf("lane read succeeded after lanes removed")
 	}
 }

@@ -60,10 +60,6 @@ type SubOptions struct {
 	// attach.
 	Resume      []ShardVersion
 	ResumeEpoch uint64
-	// FanConst, when non-nil, subscribes to the plain SUM lane serving that
-	// threshold constant instead of the base results — shorthand for Probe
-	// with a zero-kind spec.
-	FanConst *float64
 	// Probe, when non-nil, subscribes to the probe lane serving that spec:
 	// frames carry the lane's per-partition values (AVG lanes are finished
 	// per partition, each group its partition's exact average; see
@@ -155,8 +151,6 @@ func (s *Service[E]) Subscribe(opt SubOptions) (*Subscription, error) {
 			groups: make(map[string]engine.GroupResult)}
 		if opt.Probe != nil {
 			ss.hasLane, ss.lane = true, *opt.Probe
-		} else if opt.FanConst != nil {
-			ss.hasLane, ss.lane = true, engine.ProbeSpec{Const: *opt.FanConst}
 		}
 		sub.shards[i] = ss
 	}
@@ -200,7 +194,7 @@ func (s *Service[E]) detachSub(sub *Subscription) {
 // whose subscription has closed. dirty is the batch's touched partitions
 // (results already refreshed); when ws.publishFull is set the worker offers
 // the full partition set instead, because the previous published state is not
-// a valid delta base (replica rebase).
+// a valid delta base (LoadCheckpoint, a SetProbes lane change).
 func (s *Service[E]) publishSubs(ws *workerState[E], dirty []*partition[E]) {
 	live := ws.subs[:0]
 	for _, ss := range ws.subs {
@@ -269,10 +263,12 @@ func (s *Service[E]) offerDeltas(ws *workerState[E], ss *subShard, version uint6
 }
 
 // offerFull replaces the slot's pending frame with the shard's complete
-// state. Any pending incremental upserts are overwritten (their keys are a
-// subset of the live partitions), so a full offer is absorbing.
+// state. Pending incremental upserts are dropped first — after a wholesale
+// swap (LoadCheckpoint) they may name partitions the shard no longer holds —
+// so a full offer is absorbing.
 func (s *Service[E]) offerFull(ws *workerState[E], ss *subShard, version uint64) {
 	ss.mu.Lock()
+	clear(ss.groups)
 	ss.has = true
 	ss.full = true
 	ss.base = 0

@@ -20,7 +20,7 @@ WHERE 0.9 * (SELECT SUM(b1.volume) FROM bids b1)
       < (SELECT SUM(b2.volume) FROM bids b2 WHERE b2.price <= b.price)`
 )
 
-// startCatalogServer boots a catalog-mode wire server and returns its address
+// startCatalogServer boots a wire server over a fresh catalog and returns its address
 // plus the catalog (for direct result comparison).
 func startCatalogServer(t *testing.T, shards int, cfg wire.ServerConfig) (string, *catalog.Service) {
 	t.Helper()
@@ -121,7 +121,7 @@ func TestClientCatalog(t *testing.T) {
 		t.Fatalf("explain canonical %q, want %q", got.Canonical, ex2.Canonical)
 	}
 
-	// The per-query stats table arrives on the v4 stats reply.
+	// The per-query stats table arrives on the stats reply.
 	st, err := c.Stats()
 	if err != nil {
 		t.Fatal(err)
@@ -169,22 +169,5 @@ func TestClientCatalog(t *testing.T) {
 	}
 	if _, err := c.ResultQuery(ex2.ID); err != nil {
 		t.Fatalf("survivor read failed: %v", err)
-	}
-}
-
-// TestClientCatalogAgainstPlainServer pins the refusal: catalog calls against
-// a single-query server surface ErrBadRequest without wedging the pool.
-func TestClientCatalogAgainstPlainServer(t *testing.T) {
-	addr, _ := startServer(t, 1, wire.ServerConfig{})
-	c, err := client.Dial(addr, client.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if _, err := c.Register(catSQLVWAP); !errors.Is(err, wire.ErrBadRequest) {
-		t.Fatalf("register against plain server: %v, want ErrBadRequest", err)
-	}
-	if _, err := c.Result(); err != nil {
-		t.Fatalf("pool unusable after refused catalog call: %v", err)
 	}
 }

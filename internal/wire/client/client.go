@@ -126,7 +126,6 @@ type Client struct {
 
 	conns []*conn
 	rr    atomic.Uint64 // round-robin cursor for read calls
-	ver   atomic.Uint32 // negotiated protocol version (from the last welcome)
 
 	quit      chan struct{}
 	closeOnce sync.Once
@@ -138,14 +137,14 @@ type Client struct {
 	err   error // sticky permanent batch failure
 }
 
-// Dial connects the pool and performs the versioned handshake on every
-// connection; any failure fails the whole Dial.
+// Dial connects the pool and performs the handshake on every connection;
+// any failure fails the whole Dial.
 func Dial(addr string, opt Options) (*Client, error) {
 	opt = opt.withDefaults()
 	c := &Client{addr: addr, opt: opt, quit: make(chan struct{})}
 	for i := 0; i < opt.Conns; i++ {
 		cn := newConn(c, i)
-		nc, br, err := cn.connect()
+		nc, br, err := dial(addr, opt, cn.session)
 		if err != nil {
 			c.Close()
 			return nil, err
@@ -228,7 +227,7 @@ func (c *Client) Drain() error {
 	return nil
 }
 
-// Result reads the served query's scalar result.
+// Result reads the default (lowest-ID) query's scalar result.
 func (c *Client) Result() (float64, error) {
 	r, err := c.roundtrip(wire.MsgResult, nil)
 	if err != nil {
@@ -237,7 +236,7 @@ func (c *Client) Result() (float64, error) {
 	return wire.DecodeScalar(r.body)
 }
 
-// ResultGrouped reads the per-partition grouped results.
+// ResultGrouped reads the default query's per-partition grouped results.
 func (c *Client) ResultGrouped() ([]engine.GroupResult, error) {
 	r, err := c.roundtrip(wire.MsgResultGrouped, nil)
 	if err != nil {
@@ -246,7 +245,7 @@ func (c *Client) ResultGrouped() ([]engine.GroupResult, error) {
 	return wire.DecodeGrouped(r.body)
 }
 
-// Stats reads the server's admission and per-shard serving counters.
+// Stats reads the server's admission, per-shard and per-query counters.
 func (c *Client) Stats() (wire.Stats, error) {
 	r, err := c.roundtrip(wire.MsgStats, nil)
 	if err != nil {
@@ -255,7 +254,7 @@ func (c *Client) Stats() (wire.Stats, error) {
 	return wire.DecodeStats(r.body)
 }
 
-// Checkpoint asks the server to rotate a checkpoint into its data directory.
+// Checkpoint asks the server to rotate its catalog to a new generation.
 func (c *Client) Checkpoint() error {
 	r, err := c.roundtrip(wire.MsgCheckpoint, nil)
 	if err != nil {
@@ -392,87 +391,57 @@ func (cn *conn) sealLocked() error {
 	}
 }
 
-// connect dials and performs the handshake, returning the live socket and
-// its buffered reader. It offers the newest protocol version first and, when
-// the server refuses it with CodeVersion, redials once offering the oldest
-// version this client still speaks — so a new client talks to an old server
-// at the old version, losing only the newer messages.
-func (cn *conn) connect() (net.Conn, *bufio.Reader, error) {
-	nc, br, w, err := dialHandshake(cn.c.addr, cn.c.opt, cn.session)
-	if err == nil {
-		cn.c.ver.Store(w.Version)
-	}
-	return nc, br, err
-}
-
-// protoVersion is the pool's negotiated protocol version: every connection
-// handshakes with the same server, so the last welcome's version governs how
-// version-dependent reply bodies (EXPLAIN) are decoded. Before any handshake
-// completes it is the newest version this client speaks.
-func (c *Client) protoVersion() uint32 {
-	if v := c.ver.Load(); v != 0 {
-		return v
-	}
-	return wire.Version
-}
-
-// dialHandshake dials addr and completes the version-negotiated handshake,
-// returning the socket, its reader and the server's welcome.
-func dialHandshake(addr string, opt Options, session [wire.SessionIDLen]byte) (net.Conn, *bufio.Reader, wire.Welcome, error) {
-	nc, br, w, err := dialVersion(addr, opt, session, wire.Version)
-	if errors.Is(err, wire.ErrVersion) && wire.MinVersion < wire.Version {
-		nc, br, w, err = dialVersion(addr, opt, session, wire.MinVersion)
-	}
-	return nc, br, w, err
-}
-
-// dialVersion dials and offers exactly one protocol version.
-func dialVersion(addr string, opt Options, session [wire.SessionIDLen]byte, version uint32) (net.Conn, *bufio.Reader, wire.Welcome, error) {
-	var w wire.Welcome
+// dial connects to addr and completes the handshake at wire.Version,
+// returning the live socket and its buffered reader.
+func dial(addr string, opt Options, session [wire.SessionIDLen]byte) (net.Conn, *bufio.Reader, error) {
 	d := net.Dialer{Timeout: opt.DialTimeout}
 	nc, err := d.Dial("tcp", addr)
 	if err != nil {
-		return nil, nil, w, err
+		return nil, nil, err
 	}
 	if tc, ok := nc.(*net.TCPConn); ok {
 		tc.SetNoDelay(true)
 	}
 	br := bufio.NewReaderSize(nc, 64<<10)
-	hello := wire.EncodeHello(nil, wire.Hello{Version: version, Session: session})
+	hello := wire.EncodeHello(nil, wire.Hello{Version: wire.Version, Session: session})
 	nc.SetDeadline(time.Now().Add(opt.RequestTimeout))
 	if err := wire.WriteFrame(nc, wire.EncodeMsg(nil, wire.MsgHello, 0, hello)); err != nil {
 		nc.Close()
-		return nil, nil, w, err
+		return nil, nil, err
 	}
 	payload, err := wire.ReadFrame(br, opt.MaxFrame)
 	if err != nil {
 		nc.Close()
-		return nil, nil, w, err
+		return nil, nil, err
 	}
 	t, _, body, err := wire.DecodeMsg(payload)
 	if err != nil {
 		nc.Close()
-		return nil, nil, w, err
+		return nil, nil, err
 	}
 	switch t {
 	case wire.MsgWelcome:
-		if w, err = wire.DecodeWelcome(body); err != nil {
+		w, err := wire.DecodeWelcome(body)
+		if err == nil && w.Version != wire.Version {
+			err = fmt.Errorf("%w: server welcomed at version %d, client speaks %d", wire.ErrVersion, w.Version, wire.Version)
+		}
+		if err != nil {
 			nc.Close()
-			return nil, nil, w, err
+			return nil, nil, err
 		}
 	case wire.MsgError:
 		code, msg, derr := wire.DecodeError(body)
 		nc.Close()
 		if derr != nil {
-			return nil, nil, w, derr
+			return nil, nil, derr
 		}
-		return nil, nil, w, code.Err(msg)
+		return nil, nil, code.Err(msg)
 	default:
 		nc.Close()
-		return nil, nil, w, fmt.Errorf("wire client: unexpected handshake reply %s", t)
+		return nil, nil, fmt.Errorf("wire client: unexpected handshake reply %s", t)
 	}
 	nc.SetDeadline(time.Time{})
-	return nc, br, w, nil
+	return nc, br, nil
 }
 
 // run owns the connection across reconnects: it writes submitted calls,
@@ -493,7 +462,7 @@ func (cn *conn) run(nc net.Conn, br *bufio.Reader) {
 				backoff = cn.c.opt.BackoffMax
 			}
 			var err error
-			if nc, br, err = cn.connect(); err != nil {
+			if nc, br, err = dial(cn.c.addr, cn.c.opt, cn.session); err != nil {
 				if errors.Is(err, wire.ErrVersion) || errors.Is(err, wire.ErrBadRequest) {
 					cn.c.setErr(err)
 					cn.fail(pending, err)

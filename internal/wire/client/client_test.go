@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"rpai/internal/catalog"
 	"rpai/internal/engine"
 	"rpai/internal/query"
 	"rpai/internal/serve"
@@ -57,29 +58,52 @@ func symEvents(seed int64, n, partitions int) []engine.Event {
 	return out
 }
 
-// startServer boots a wire.Server over a fresh vwap service and returns its
-// address plus the service (for direct result comparison).
-func startServer(t *testing.T, shards int, cfg wire.ServerConfig) (string, *serve.Service[engine.Event]) {
+// vwapQuery is a test server's registered VWAP query, read in-process for
+// comparison with the networked results.
+type vwapQuery struct {
+	t   *testing.T
+	cat *catalog.Service
+	id  catalog.QueryID
+}
+
+func (q vwapQuery) Result() float64 {
+	q.t.Helper()
+	v, err := q.cat.Result(q.id)
+	if err != nil {
+		q.t.Fatal(err)
+	}
+	return v
+}
+
+func (q vwapQuery) ResultGrouped() []engine.GroupResult {
+	q.t.Helper()
+	g, err := q.cat.ResultGrouped(q.id)
+	if err != nil {
+		q.t.Fatal(err)
+	}
+	return g
+}
+
+func (q vwapQuery) ShardVersions() []serve.ShardVersion {
+	q.t.Helper()
+	sv, err := q.cat.ShardVersions(q.id)
+	if err != nil {
+		q.t.Fatal(err)
+	}
+	return sv
+}
+
+// startServer boots a wire server over a catalog holding the one VWAP query
+// (the daemon's single-query deployment) and returns its address plus the
+// query for direct result comparison.
+func startServer(t *testing.T, shards int, cfg wire.ServerConfig) (string, vwapQuery) {
 	t.Helper()
-	svc, err := serve.ForQuery(vwapSpec(), []string{"sym"}, serve.Options{Shards: shards})
+	addr, cat := startCatalogServer(t, shards, cfg)
+	id, _, err := cat.Register(catSQLVWAP)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := wire.NewServer(svc, cfg)
-	done := make(chan error, 1)
-	go func() { done <- srv.Serve(ln) }()
-	t.Cleanup(func() {
-		srv.Close()
-		if err := <-done; err != nil {
-			t.Errorf("Serve: %v", err)
-		}
-		svc.Close()
-	})
-	return ln.Addr().String(), svc
+	return addr, vwapQuery{t: t, cat: cat, id: id}
 }
 
 // chaosProxy forwards TCP byte streams to a backend and can kill every live
@@ -230,7 +254,7 @@ func TestClientBasic(t *testing.T) {
 		t.Fatalf("active conns %d, want 2", st.Server.ActiveConns)
 	}
 
-	// Checkpoint against a server with no data dir is a permanent, typed
+	// Checkpoint against a catalog with no data dir is a permanent, typed
 	// error — and must not poison the client.
 	if err := c.Checkpoint(); !errors.Is(err, wire.ErrBadRequest) {
 		t.Fatalf("Checkpoint = %v, want ErrBadRequest", err)

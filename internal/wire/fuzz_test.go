@@ -6,6 +6,8 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 
 	"rpai/internal/catalog"
@@ -25,8 +27,20 @@ func fuzzExplain() catalog.Explain {
 	}
 }
 
-// fuzzSeedFrames builds one valid frame per message type, the same frames the
-// committed corpus under testdata/fuzz/FuzzWireFrames seeds.
+// legacyStats is a stats reply in the layout protocol versions 2 and 3 used:
+// no per-query table after the shard list. It stays among the seeds as a
+// refusal case.
+var legacyStats = func() []byte {
+	b := EncodeStats(nil, Stats{Server: ServerStats{Accepted: 1}, Shards: []serve.ShardStats{{Shard: 0, Applied: 3}}})
+	return b[:len(b)-4] // drop the empty query table's count
+}()
+
+const legacyStatsSeed = 12
+
+// fuzzSeedFrames builds one frame per message type. Every body is valid
+// except the legacy stats reply. The committed corpus under
+// testdata/fuzz/FuzzWireFrames was generated from an earlier protocol
+// version; TestCommittedSeedsOfOldVersions pins how those seeds are refused.
 func fuzzSeedFrames() [][]byte {
 	ev := engine.EncodeEvent(nil, engine.Insert(map[string]float64{"sym": 1, "price": 2, "volume": 3}))
 	bodies := []struct {
@@ -45,7 +59,7 @@ func fuzzSeedFrames() [][]byte {
 		{MsgAck, EncodeAck(nil, 2)},
 		{MsgScalar, EncodeScalar(nil, 3.25)},
 		{MsgGrouped, EncodeGrouped(nil, []engine.GroupResult{{Key: []float64{1}, Value: 2}})},
-		{MsgStatsReply, EncodeStats(nil, Stats{Server: ServerStats{Accepted: 1}, Shards: []serve.ShardStats{{Shard: 0, Applied: 3}}})},
+		{MsgStatsReply, legacyStats},
 		{MsgError, EncodeError(nil, CodeOverloaded, "busy")},
 		{MsgSubscribe, EncodeSubscribe(nil, Subscribe{Keys: [][]float64{{1}, {2}}, Epoch: 9,
 			Resume: []serve.ShardVersion{{Shard: 0, Version: 5}, {Shard: 1, Version: 7}}})},
@@ -102,55 +116,66 @@ func FuzzWireFrames(f *testing.F) {
 			if err != nil {
 				continue
 			}
-			switch tp {
-			case MsgHello:
-				DecodeHello(body)
-			case MsgApply:
-				engine.DecodeEvent(body)
-			case MsgApplyBatch:
-				if _, events, err := DecodeBatch(body); err == nil {
-					for _, ev := range events {
-						engine.DecodeEvent(ev)
-					}
-				}
-			case MsgWelcome:
-				DecodeWelcome(body)
-			case MsgAck:
-				DecodeAck(body)
-			case MsgScalar:
-				DecodeScalar(body)
-			case MsgGrouped:
-				DecodeGrouped(body)
-			case MsgStatsReply:
-				DecodeStats(body)
-			case MsgError:
-				DecodeError(body)
-			case MsgSubscribe:
-				DecodeSubscribe(body)
-			case MsgSubscribed:
-				DecodeSubscribed(body)
-			case MsgDelta:
-				DecodeDelta(body)
-			case MsgRegister:
-				DecodeRegister(body)
-			case MsgRegistered, MsgExplained:
-				DecodeExplain(body)
-			case MsgUnregister, MsgExplain, MsgResultQ, MsgGroupedQ:
-				DecodeQueryID(body)
-			case MsgQueryList:
-				DecodeQueryList(body)
-			case MsgSubscribeQ:
-				DecodeSubscribeQ(body)
-			case MsgDeltaQ:
-				DecodeDeltaQ(body)
-			}
+			decodeBody(tp, body)
 		}
 	})
 }
 
-// TestWriteFuzzCorpus regenerates the committed seed corpus under
-// testdata/fuzz/FuzzWireFrames from fuzzSeedFrames. Run with
-// WRITE_FUZZ_CORPUS=1 after changing the protocol; skipped otherwise.
+// decodeBody runs the body decoder of message type tp over body and returns
+// its verdict; types without a body decoder return nil.
+func decodeBody(tp MsgType, body []byte) error {
+	var err error
+	switch tp {
+	case MsgHello:
+		_, err = DecodeHello(body)
+	case MsgApply:
+		_, err = engine.DecodeEvent(body)
+	case MsgApplyBatch:
+		var events [][]byte
+		if _, events, err = DecodeBatch(body); err == nil {
+			for _, ev := range events {
+				if _, err = engine.DecodeEvent(ev); err != nil {
+					break
+				}
+			}
+		}
+	case MsgWelcome:
+		_, err = DecodeWelcome(body)
+	case MsgAck:
+		_, err = DecodeAck(body)
+	case MsgScalar:
+		_, err = DecodeScalar(body)
+	case MsgGrouped:
+		_, err = DecodeGrouped(body)
+	case MsgStatsReply:
+		_, err = DecodeStats(body)
+	case MsgError:
+		_, _, err = DecodeError(body)
+	case MsgSubscribe:
+		_, err = DecodeSubscribe(body)
+	case MsgSubscribed:
+		_, err = DecodeSubscribed(body)
+	case MsgDelta:
+		_, err = DecodeDelta(body)
+	case MsgRegister:
+		_, err = DecodeRegister(body)
+	case MsgRegistered, MsgExplained:
+		_, err = DecodeExplain(body)
+	case MsgUnregister, MsgExplain, MsgResultQ, MsgGroupedQ:
+		_, err = DecodeQueryID(body)
+	case MsgQueryList:
+		_, err = DecodeQueryList(body)
+	case MsgSubscribeQ:
+		_, _, err = DecodeSubscribeQ(body)
+	case MsgDeltaQ:
+		_, _, err = DecodeDeltaQ(body)
+	}
+	return err
+}
+
+// TestWriteFuzzCorpus adds fuzzSeedFrames to the committed seed corpus under
+// testdata/fuzz/FuzzWireFrames. Run with WRITE_FUZZ_CORPUS=1 after adding a
+// message type; skipped otherwise. Committed seeds are never overwritten.
 func TestWriteFuzzCorpus(t *testing.T) {
 	if os.Getenv("WRITE_FUZZ_CORPUS") == "" {
 		t.Skip("set WRITE_FUZZ_CORPUS=1 to regenerate the seed corpus")
@@ -162,6 +187,9 @@ func TestWriteFuzzCorpus(t *testing.T) {
 	for i, frame := range fuzzSeedFrames() {
 		body := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", frame)
 		name := filepath.Join(dir, fmt.Sprintf("seed-%02d", i))
+		if _, err := os.Stat(name); err == nil {
+			continue
+		}
 		if err := os.WriteFile(name, []byte(body), 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -170,7 +198,8 @@ func TestWriteFuzzCorpus(t *testing.T) {
 
 // TestFuzzSeedsDecode keeps the committed seed corpus honest: every seed
 // frame except the two trailing specials (the back-to-back pair and the
-// corrupt header) must decode cleanly end to end.
+// corrupt header) must decode cleanly end to end, body included — all but
+// the legacy stats reply, which must be refused.
 func TestFuzzSeedsDecode(t *testing.T) {
 	seeds := fuzzSeedFrames()
 	for i, frame := range seeds[:len(seeds)-2] {
@@ -178,13 +207,68 @@ func TestFuzzSeedsDecode(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", i, err)
 		}
-		if _, _, _, err := DecodeMsg(payload); err != nil {
+		tp, _, body, err := DecodeMsg(payload)
+		if err != nil {
 			t.Fatalf("seed %d envelope: %v", i, err)
+		}
+		err = decodeBody(tp, body)
+		if i == legacyStatsSeed {
+			if err == nil {
+				t.Fatalf("seed %d: the legacy stats layout decoded", i)
+			}
+		} else if err != nil {
+			t.Fatalf("seed %d (%s): %v", i, tp, err)
 		}
 	}
 }
 
-// TestCatalogCodecsRejectMalformed pins the v4 decoders' strictness: every
+// TestCommittedSeedsOfOldVersions pins the committed corpus seeds that
+// encode protocol version 4, which the wire no longer speaks: the hello and
+// welcome carry a version other than Version (a server refuses such a hello
+// with CodeVersion, a client such a welcome), and the stats reply and
+// EXPLAIN bodies in the older layouts fail to decode.
+func TestCommittedSeedsOfOldVersions(t *testing.T) {
+	frame := func(name string) (MsgType, []byte) {
+		t.Helper()
+		raw, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzWireFrames", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.SplitN(string(raw), "\n", 3)
+		quoted := strings.TrimSuffix(strings.TrimPrefix(lines[1], "[]byte("), ")")
+		data, err := strconv.Unquote(quoted)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		payload, err := ReadFrame(strings.NewReader(data), 0)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		tp, _, body, err := DecodeMsg(payload)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		return tp, body
+	}
+	if tp, body := frame("seed-00"); tp != MsgHello {
+		t.Fatalf("seed-00 is %s, want hello", tp)
+	} else if h, err := DecodeHello(body); err != nil || h.Version == Version {
+		t.Fatalf("seed-00 hello version %d (%v), want an old version", h.Version, err)
+	}
+	if tp, body := frame("seed-08"); tp != MsgWelcome {
+		t.Fatalf("seed-08 is %s, want welcome", tp)
+	} else if w, err := DecodeWelcome(body); err != nil || w.Version == Version {
+		t.Fatalf("seed-08 welcome version %d (%v), want an old version", w.Version, err)
+	}
+	for _, name := range []string{"seed-12", "seed-18", "seed-21", "seed-23"} {
+		tp, body := frame(name)
+		if err := decodeBody(tp, body); err == nil {
+			t.Errorf("%s: the old-version %s body decoded", name, tp)
+		}
+	}
+}
+
+// TestCatalogCodecsRejectMalformed pins the catalog decoders' strictness: every
 // truncation, overrun length, and trailing-byte mutation must be refused with
 // an error, never mis-decoded or panicked on.
 func TestCatalogCodecsRejectMalformed(t *testing.T) {

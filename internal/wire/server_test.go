@@ -5,9 +5,13 @@ import (
 	"io"
 	"math/rand"
 	"net"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
+	"rpai/internal/catalog"
 	"rpai/internal/engine"
 	"rpai/internal/query"
 	"rpai/internal/serve"
@@ -53,25 +57,58 @@ func symEvents(seed int64, n, partitions int) []engine.Event {
 	return out
 }
 
-// startServer boots a Server over svc on a loopback listener and returns its
-// address. Cleanup closes the server, then the service.
-func startServer(t *testing.T, svc *serve.Service[engine.Event], cfg ServerConfig) string {
+// oneQuery is a test server's registered VWAP query, read in-process for
+// comparison with the networked results.
+type oneQuery struct {
+	t   *testing.T
+	cat *catalog.Service
+	id  catalog.QueryID
+}
+
+func (q oneQuery) Result() float64 {
+	q.t.Helper()
+	v, err := q.cat.Result(q.id)
+	if err != nil {
+		q.t.Fatal(err)
+	}
+	return v
+}
+
+func (q oneQuery) ResultGrouped() []engine.GroupResult {
+	q.t.Helper()
+	g, err := q.cat.ResultGrouped(q.id)
+	if err != nil {
+		q.t.Fatal(err)
+	}
+	return g
+}
+
+func (q oneQuery) ShardVersions() []serve.ShardVersion {
+	q.t.Helper()
+	sv, err := q.cat.ShardVersions(q.id)
+	if err != nil {
+		q.t.Fatal(err)
+	}
+	return sv
+}
+
+// startVWAP boots a Server over a catalog holding the one VWAP query (the
+// daemon's single-query deployment) and returns its address and the query.
+// opt.PartitionBy defaults to sym.
+func startVWAP(t *testing.T, opt catalog.Options, cfg ServerConfig) (string, oneQuery) {
 	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if opt.PartitionBy == nil {
+		opt.PartitionBy = []string{"sym"}
+	}
+	cat, err := catalog.New(opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServer(svc, cfg)
-	done := make(chan error, 1)
-	go func() { done <- srv.Serve(ln) }()
-	t.Cleanup(func() {
-		srv.Close()
-		if err := <-done; err != nil {
-			t.Errorf("Serve: %v", err)
-		}
-		svc.Close()
-	})
-	return ln.Addr().String()
+	id, _, err := cat.Register(catSQLVWAP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return startCatalogServer(t, cat, cfg), oneQuery{t: t, cat: cat, id: id}
 }
 
 // rawConn is a frame-level test client: no pipelining, no reconnects, so the
@@ -82,13 +119,8 @@ type rawConn struct {
 	nextID uint64
 }
 
+// dialRaw connects and completes the handshake at Version.
 func dialRaw(t *testing.T, addr string, session byte) *rawConn {
-	return dialRawVersion(t, addr, session, Version)
-}
-
-// dialRawVersion offers exactly one protocol version in the hello and asserts
-// the welcome echoes it back — the downgrade contract.
-func dialRawVersion(t *testing.T, addr string, session byte, version uint32) *rawConn {
 	t.Helper()
 	nc, err := net.DialTimeout("tcp", addr, 5*time.Second)
 	if err != nil {
@@ -98,7 +130,7 @@ func dialRawVersion(t *testing.T, addr string, session byte, version uint32) *ra
 	rc := &rawConn{t: t, nc: nc}
 	var sess [SessionIDLen]byte
 	sess[0] = session
-	rc.send(MsgHello, EncodeHello(nil, Hello{Version: version, Session: sess}))
+	rc.send(MsgHello, EncodeHello(nil, Hello{Version: Version, Session: sess}))
 	tp, _, body := rc.recv()
 	if tp != MsgWelcome {
 		t.Fatalf("handshake reply %s, want welcome", tp)
@@ -107,8 +139,8 @@ func dialRawVersion(t *testing.T, addr string, session byte, version uint32) *ra
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w.Version != version {
-		t.Fatalf("welcome echoes version %d, want the offered %d", w.Version, version)
+	if w.Version != Version {
+		t.Fatalf("welcome carries version %d, want %d", w.Version, Version)
 	}
 	return rc
 }
@@ -162,8 +194,8 @@ func encodeEvents(events []engine.Event) [][]byte {
 }
 
 // TestServerRoundtrip drives the full request catalogue over one loopback
-// connection and checks the networked results are bit-identical to an
-// in-process service fed the same trace.
+// connection to a one-query catalog and checks the networked results are
+// bit-identical to an in-process single-query service fed the same trace.
 func TestServerRoundtrip(t *testing.T) {
 	q := vwapSpec()
 	events := symEvents(11, 2000, 17)
@@ -182,11 +214,7 @@ func TestServerRoundtrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	svc, err := serve.ForQuery(q, []string{"sym"}, serve.Options{Shards: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := startServer(t, svc, ServerConfig{Query: "vwap"})
+	addr, _ := startVWAP(t, catalog.Options{Shards: 4}, ServerConfig{Query: "vwap"})
 	rc := dialRaw(t, addr, 1)
 
 	// One single apply, then the rest in sequenced batches of 256.
@@ -258,8 +286,11 @@ func TestServerRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Server.ActiveConns != 1 || st.Server.Shed != 0 || len(st.Shards) != 4 {
+	if st.Server.ActiveConns != 1 || st.Server.Shed != 0 || len(st.Shards) != 4 || len(st.Queries) != 1 {
 		t.Fatalf("unexpected stats %+v", st)
+	}
+	if st.Queries[0].Applied != uint64(len(events)) {
+		t.Fatalf("query table reports %d applied, want %d", st.Queries[0].Applied, len(events))
 	}
 	var applied uint64
 	for _, sh := range st.Shards {
@@ -270,91 +301,53 @@ func TestServerRoundtrip(t *testing.T) {
 	}
 }
 
-// gateExec wedges its shard: Apply blocks until the gate closes.
-type gateExec struct {
-	gate <-chan struct{}
-	n    float64
-}
-
-func (g *gateExec) Apply(engine.Event) { <-g.gate; g.n++ }
-func (g *gateExec) Result() float64    { return g.n }
-
-// gatedService builds a one-shard service whose executor blocks on gate.
-func gatedService(t *testing.T, gate <-chan struct{}, queueLen int) *serve.Service[engine.Event] {
-	t.Helper()
-	svc, err := serve.New(serve.Config[engine.Event]{
-		Shards:   1,
-		QueueLen: queueLen,
-		Partition: func(e engine.Event, buf []float64) []float64 {
-			return append(buf, e.Tuple["sym"])
-		},
-		New: func([]float64) serve.Executor[engine.Event] { return &gateExec{gate: gate} },
-	})
+// TestServerOverloadSheds saturates the admission limiter and asserts the
+// overload contract: work is shed with CodeOverloaded, read-only requests
+// still go through, and the server counts the shed requests while its
+// in-flight gauge stays bounded. The wedge is a client that stops reading: its connection
+// worker blocks writing a reply larger than the socket buffers, and the
+// batches pipelined behind that reply keep holding their admission tokens.
+func TestServerOverloadSheds(t *testing.T) {
+	cat, err := catalog.New(catalog.Options{PartitionBy: []string{"sym"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return svc
-}
-
-// TestServerOverloadSheds saturates the admission limiter through a wedged
-// shard and asserts the overload contract: work is shed with CodeOverloaded,
-// read-only requests still go through, and the stats RPC reports the shed
-// count, a bounded in-flight gauge and a bounded shard queue.
-func TestServerOverloadSheds(t *testing.T) {
-	gate := make(chan struct{})
-	const queueLen = 8
-	svc := gatedService(t, gate, queueLen)
-	addr := startServer(t, svc, ServerConfig{MaxInFlight: 2, PerConnQueue: 4})
+	// A registration whose SQL text carries 16 MiB of whitespace makes the
+	// query-list reply far larger than any loopback socket buffer.
+	if _, _, err := cat.Register(catSQLVWAP + strings.Repeat(" ", 16<<20)); err != nil {
+		t.Fatal(err)
+	}
+	srv := NewCatalogServer(cat, ServerConfig{MaxInFlight: 2, PerConnQueue: 4})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- srv.Serve(ln) }()
+	t.Cleanup(func() {
+		srv.Close()
+		<-done
+		cat.Close()
+	})
+	addr := ln.Addr().String()
 
 	ev := engine.EncodeEvent(nil, engine.Insert(query.Tuple{"sym": 1, "price": 2, "volume": 3}))
 	batch := EncodeBatch(nil, 0, [][]byte{ev})
 
-	// Wedge the shard directly: the worker drains its first batch and blocks
-	// applying it, and the queue behind it fills until admission reports
-	// busy. The double-check tolerates the startup race where TryApply sees
-	// a full queue that the worker is still about to drain.
-	wedgeEv := engine.Insert(query.Tuple{"sym": 1, "price": 2, "volume": 3})
-	for {
-		err := svc.TryApply(wedgeEv)
-		if errors.Is(err, serve.ErrBusy) {
-			time.Sleep(time.Millisecond)
-			if errors.Is(svc.TryApply(wedgeEv), serve.ErrBusy) {
-				break
-			}
-			continue
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	// Connection A's batches block enqueueing onto the full shard — the
-	// first inside ApplyBatch, the second queued behind it — so both
-	// admission tokens stay held.
 	wedge := dialRaw(t, addr, 2)
+	wedge.send(MsgListQueries, nil)
 	wedge.send(MsgApplyBatch, batch)
 	wedge.send(MsgApplyBatch, batch)
-
-	// Wait until both tokens are actually held.
-	deadline := time.Now().Add(5 * time.Second)
-	probe := dialRaw(t, addr, 3)
-	for {
-		probe.send(MsgStats, nil)
-		_, _, body := probe.recv()
-		st, err := DecodeStats(body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.Server.InFlight == 2 {
-			break
-		}
+	deadline := time.Now().Add(10 * time.Second)
+	for srv.Stats().InFlight != 2 {
 		if time.Now().After(deadline) {
-			t.Fatalf("limiter never saturated: %+v", st.Server)
+			t.Fatalf("limiter never saturated: %+v", srv.Stats())
 		}
 		time.Sleep(time.Millisecond)
 	}
 
 	// Work on connection B must now be shed immediately.
+	probe := dialRaw(t, addr, 3)
 	probe.send(MsgApplyBatch, batch)
 	probe.errCode(CodeOverloaded)
 	probe.send(MsgApply, ev)
@@ -367,29 +360,19 @@ func TestServerOverloadSheds(t *testing.T) {
 	if tp, _, _ := probe.recv(); tp != MsgScalar {
 		t.Fatalf("result under overload replied %s", tp)
 	}
-	probe.send(MsgStats, nil)
-	_, _, body := probe.recv()
-	st, err := DecodeStats(body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Server.Shed < 3 {
-		t.Fatalf("shed counter %d, want >= 3", st.Server.Shed)
-	}
-	if st.Server.InFlight > 2 {
-		t.Fatalf("in-flight %d exceeds limiter 2", st.Server.InFlight)
-	}
-	for _, sh := range st.Shards {
-		if sh.QueueDepth > queueLen {
-			t.Fatalf("shard queue depth %d exceeds bound %d", sh.QueueDepth, queueLen)
-		}
+	if st := srv.Stats(); st.Shed < 3 || st.InFlight > 2 {
+		t.Fatalf("stats under overload %+v, want shed >= 3 and in-flight <= 2", st)
 	}
 
-	// Open the gate: the wedged batches complete and normal service resumes.
-	close(gate)
+	// The client reads again: the list reply drains, the wedged batches
+	// complete, and normal service resumes.
+	wedge.nc.SetReadDeadline(time.Now().Add(10 * time.Second))
+	if _, err := ReadFrame(wedge.nc, 64<<20); err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < 2; i++ {
 		if tp, _, _ := wedge.recv(); tp != MsgAck {
-			t.Fatalf("wedged batch reply %s after gate opened", tp)
+			t.Fatalf("wedged batch reply %s after the client resumed reading", tp)
 		}
 	}
 	probe.send(MsgDrain, nil)
@@ -398,20 +381,16 @@ func TestServerOverloadSheds(t *testing.T) {
 	}
 }
 
-// TestServerVersionMismatch pins the handshake refusal.
-func TestServerVersionMismatch(t *testing.T) {
-	q := vwapSpec()
-	svc, err := serve.ForQuery(q, []string{"sym"}, serve.Options{Shards: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := startServer(t, svc, ServerConfig{})
+// refusedHello sends a hello carrying version v and asserts the server
+// refuses it with CodeVersion.
+func refusedHello(t *testing.T, addr string, v uint32) {
+	t.Helper()
 	nc, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer nc.Close()
-	hello := EncodeHello(nil, Hello{Version: Version + 7})
+	hello := EncodeHello(nil, Hello{Version: v})
 	if err := WriteFrame(nc, EncodeMsg(nil, MsgHello, 0, hello)); err != nil {
 		t.Fatal(err)
 	}
@@ -422,11 +401,33 @@ func TestServerVersionMismatch(t *testing.T) {
 	}
 	tp, _, body, err := DecodeMsg(payload)
 	if err != nil || tp != MsgError {
-		t.Fatalf("reply %s (err %v), want error", tp, err)
+		t.Fatalf("version %d: reply %s (err %v), want error", v, tp, err)
 	}
 	code, _, err := DecodeError(body)
 	if err != nil || code != CodeVersion {
-		t.Fatalf("code %d (err %v), want CodeVersion", code, err)
+		t.Fatalf("version %d: code %d (err %v), want CodeVersion", v, code, err)
+	}
+}
+
+// TestServerVersionMismatch pins the handshake refusal of a version newer
+// than the server's.
+func TestServerVersionMismatch(t *testing.T) {
+	addr, _ := startVWAP(t, catalog.Options{Shards: 1}, ServerConfig{})
+	refusedHello(t, addr, Version+7)
+}
+
+// TestServerHandshakeDowngrade pins that the server never downgrades: it
+// speaks exactly Version, so every older version is refused with
+// CodeVersion, while a hello at Version is welcomed on the same server.
+func TestServerHandshakeDowngrade(t *testing.T) {
+	addr, _ := startVWAP(t, catalog.Options{Shards: 1}, ServerConfig{})
+	for v := uint32(0); v < Version; v++ {
+		refusedHello(t, addr, v)
+	}
+	rc := dialRaw(t, addr, 6)
+	rc.send(MsgResult, nil)
+	if tp, _, _ := rc.recv(); tp != MsgScalar {
+		t.Fatalf("result at version %d replied %s", Version, tp)
 	}
 }
 
@@ -434,12 +435,7 @@ func TestServerVersionMismatch(t *testing.T) {
 // and checks it tears those connections down without disturbing a well-
 // behaved one.
 func TestServerSurvivesGarbage(t *testing.T) {
-	q := vwapSpec()
-	svc, err := serve.ForQuery(q, []string{"sym"}, serve.Options{Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := startServer(t, svc, ServerConfig{MaxFrame: 1 << 16})
+	addr, _ := startVWAP(t, catalog.Options{Shards: 2}, ServerConfig{MaxFrame: 1 << 16})
 
 	send := func(raw []byte) {
 		t.Helper()
@@ -485,17 +481,14 @@ func TestServerSurvivesGarbage(t *testing.T) {
 	}
 }
 
-// TestServerCheckpointRPC triggers a checkpoint over the wire and recovers a
-// fresh service from it.
+// TestServerCheckpointRPC triggers a checkpoint over the wire: a durable
+// catalog rotates to a new generation that a replica of its directory reads
+// back bit-identically, and a catalog without a data directory refuses the
+// RPC as a bad request.
 func TestServerCheckpointRPC(t *testing.T) {
-	q := vwapSpec()
 	dir := t.TempDir()
 	events := symEvents(13, 600, 7)
-	svc, err := serve.ForQuery(q, []string{"sym"}, serve.Options{Shards: 2, Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := startServer(t, svc, ServerConfig{DataDir: dir})
+	addr, _ := startVWAP(t, catalog.Options{Shards: 2, Dir: dir}, ServerConfig{})
 	rc := dialRaw(t, addr, 5)
 	rc.send(MsgApplyBatch, EncodeBatch(nil, 1, encodeEvents(events)))
 	if tp, _, _ := rc.recv(); tp != MsgAck {
@@ -511,13 +504,20 @@ func TestServerCheckpointRPC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	rec, err := serve.RecoverForQuery(dir, q, []string{"sym"}, serve.Options{Shards: 3, Dir: dir})
+	if _, err := os.Stat(filepath.Join(dir, "g2")); err != nil {
+		t.Fatalf("checkpoint did not rotate to generation 2: %v", err)
+	}
+	rep, err := catalog.OpenReplica(catalog.Options{Dir: dir, Shards: 3}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer rec.Close()
-	if got := rec.Result(); got != want {
-		t.Fatalf("recovered Result = %v, want %v", got, want)
+	defer rep.Close()
+	if got, err := rep.Result(1); err != nil || got != want {
+		t.Fatalf("checkpointed Result = %v (%v), want %v", got, err, want)
 	}
+
+	memAddr, _ := startVWAP(t, catalog.Options{Shards: 1}, ServerConfig{})
+	mem := dialRaw(t, memAddr, 6)
+	mem.send(MsgCheckpoint, nil)
+	mem.errCode(CodeBadRequest)
 }

@@ -2,10 +2,10 @@ package wire
 
 import (
 	"math"
-	"net"
 	"testing"
 	"time"
 
+	"rpai/internal/catalog"
 	"rpai/internal/engine"
 	"rpai/internal/serve"
 )
@@ -52,9 +52,8 @@ func subscribeRaw(t *testing.T, rc *rawConn, req Subscribe, wantShards uint32) (
 
 // catchUpView reads pushed MsgDelta frames off rc into view until every shard
 // reaches its target version, then asserts the view reconstructs the
-// service's grouped results bit-identically.
-func catchUpView(t *testing.T, rc *rawConn, subID uint64, view *serve.View,
-	svc *serve.Service[engine.Event], what string) {
+// query's grouped results bit-identically.
+func catchUpView(t *testing.T, rc *rawConn, subID uint64, view *serve.View, svc oneQuery, what string) {
 	t.Helper()
 	target := make(map[int]uint64)
 	for _, sv := range svc.ShardVersions() {
@@ -96,12 +95,7 @@ func catchUpView(t *testing.T, rc *rawConn, subID uint64, view *serve.View,
 // through an idle period longer than the server's read deadline (a subscribed
 // connection legitimately goes silent and must not be torn down).
 func TestServerSubscribePush(t *testing.T) {
-	q := vwapSpec()
-	svc, err := serve.ForQuery(q, []string{"sym"}, serve.Options{Shards: 2, BatchSize: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := startServer(t, svc, ServerConfig{IdleTimeout: 100 * time.Millisecond})
+	addr, svc := startVWAP(t, catalog.Options{Shards: 2, BatchSize: 8}, ServerConfig{IdleTimeout: 100 * time.Millisecond})
 
 	events := symEvents(19, 1800, 11)
 	feeder := dialRaw(t, addr, 1)
@@ -140,85 +134,46 @@ func TestServerSubscribePush(t *testing.T) {
 	catchUpView(t, sub, subID, view, svc, "after idle period")
 }
 
-// TestServerHandshakeDowngrade pins the version negotiation window: a v2
-// hello is welcomed at v2 and served everything except subscriptions, and a
-// hello below MinVersion is refused with CodeVersion.
-func TestServerHandshakeDowngrade(t *testing.T) {
-	q := vwapSpec()
-	svc, err := serve.ForQuery(q, []string{"sym"}, serve.Options{Shards: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := startServer(t, svc, ServerConfig{})
-
-	// A downgraded connection keeps full v2 service...
-	rc := dialRawVersion(t, addr, 6, MinVersion)
-	rc.send(MsgApplyBatch, EncodeBatch(nil, 1,
-		encodeEvents([]engine.Event{events1()})))
-	if tp, _, _ := rc.recv(); tp != MsgAck {
-		t.Fatal("v2 batch not acked")
-	}
-	rc.send(MsgResult, nil)
-	if tp, _, _ := rc.recv(); tp != MsgScalar {
-		t.Fatal("v2 result not served")
-	}
-	// ...but v3 messages are refused without tearing the connection down.
-	rc.send(MsgSubscribe, EncodeSubscribe(nil, Subscribe{}))
-	rc.errCode(CodeBadRequest)
-	rc.send(MsgResult, nil)
-	if tp, _, _ := rc.recv(); tp != MsgScalar {
-		t.Fatal("v2 connection dead after refused subscribe")
-	}
-
-	// Below the negotiation window: refused outright.
-	nc, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nc.Close()
-	hello := EncodeHello(nil, Hello{Version: MinVersion - 1})
-	if err := WriteFrame(nc, EncodeMsg(nil, MsgHello, 0, hello)); err != nil {
-		t.Fatal(err)
-	}
-	nc.SetReadDeadline(time.Now().Add(5 * time.Second))
-	payload, err := ReadFrame(nc, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tp, _, body, err := DecodeMsg(payload)
-	if err != nil || tp != MsgError {
-		t.Fatalf("reply %s (err %v), want error", tp, err)
-	}
-	if code, _, err := DecodeError(body); err != nil || code != CodeVersion {
-		t.Fatalf("code %d (err %v), want CodeVersion", code, err)
-	}
-}
-
-func events1() engine.Event {
-	return engine.Insert(map[string]float64{"sym": 1, "price": 4, "volume": 2})
-}
-
-// TestServerReadOnly pins the replica serving contract: every write-carrying
-// request is shed with CodeReadOnly without spending admission tokens, while
-// reads and subscriptions are served in full.
+// TestServerReadOnly pins the replica serving contract: a server over a
+// replica catalog sheds every write-carrying request — register and
+// unregister included — with CodeReadOnly without spending admission
+// tokens, while reads and subscriptions are served in full.
 func TestServerReadOnly(t *testing.T) {
-	q := vwapSpec()
-	svc, err := serve.ForQuery(q, []string{"sym"}, serve.Options{Shards: 2})
+	dir := t.TempDir()
+	primary, err := catalog.New(catalog.Options{PartitionBy: []string{"sym"}, Shards: 2, Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Pre-load state through the service itself, the way a replica's tailer
-	// does — the wire front door only serves it.
-	if err := svc.ApplyBatch(symEvents(23, 500, 7)); err != nil {
+	defer primary.Close()
+	if _, _, err := primary.Register(catSQLVWAP); err != nil {
 		t.Fatal(err)
 	}
-	if err := svc.Drain(); err != nil {
+	if err := primary.ApplyBatch(symEvents(23, 500, 7)); err != nil {
 		t.Fatal(err)
 	}
-	addr := startServer(t, svc, ServerConfig{ReadOnly: true})
+	if err := primary.DrainAll(); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := catalog.OpenReplica(catalog.Options{Dir: dir, Shards: 2}, time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc := oneQuery{t: t, cat: rep, id: 1}
+	want, err := primary.ResultGrouped(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for !wireGroupsIdentical(svc.ResultGrouped(), want) {
+		if time.Now().After(deadline) {
+			t.Fatal("replica never caught up with the primary")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	addr := startCatalogServer(t, rep, ServerConfig{})
 
 	rc := dialRaw(t, addr, 7)
-	ev := engine.EncodeEvent(nil, events1())
+	ev := engine.EncodeEvent(nil, engine.Insert(map[string]float64{"sym": 1, "price": 4, "volume": 2}))
 	rc.send(MsgApply, ev)
 	rc.errCode(CodeReadOnly)
 	rc.send(MsgApplyBatch, EncodeBatch(nil, 1, [][]byte{ev}))
@@ -227,8 +182,12 @@ func TestServerReadOnly(t *testing.T) {
 	rc.errCode(CodeReadOnly)
 	rc.send(MsgCheckpoint, nil)
 	rc.errCode(CodeReadOnly)
+	rc.send(MsgRegister, EncodeRegister(nil, catSQLVWAP90))
+	rc.errCode(CodeReadOnly)
+	rc.send(MsgUnregister, EncodeQueryID(nil, 1))
+	rc.errCode(CodeReadOnly)
 
-	// Reads still flow, bit-identical to the service.
+	// Reads still flow, bit-identical to the replica's state.
 	rc.send(MsgResult, nil)
 	_, _, body := rc.recv()
 	got, err := DecodeScalar(body)
@@ -237,6 +196,12 @@ func TestServerReadOnly(t *testing.T) {
 	}
 	if want := svc.Result(); got != want {
 		t.Fatalf("read-only Result = %v, want %v", got, want)
+	}
+	rc.send(MsgListQueries, nil)
+	if tp, _, body := rc.recv(); tp != MsgQueryList {
+		t.Fatalf("list-queries reply %s", tp)
+	} else if list, err := DecodeQueryList(body); err != nil || len(list) != 1 {
+		t.Fatalf("replica lists %d queries (%v), want 1", len(list), err)
 	}
 
 	// Shed writes never touched the admission limiter.
@@ -325,7 +290,7 @@ func TestDecodeSubscribeMalformed(t *testing.T) {
 	}
 }
 
-// TestSubscribeCodecRoundTrip pins the v3 bodies' encode/decode symmetry.
+// TestSubscribeCodecRoundTrip pins the subscription bodies' encode/decode symmetry.
 func TestSubscribeCodecRoundTrip(t *testing.T) {
 	s := Subscribe{Keys: [][]float64{{1}, {2, 3}}, Epoch: 77,
 		Resume: []serve.ShardVersion{{Shard: 0, Version: 9}, {Shard: 2, Version: 4}}}

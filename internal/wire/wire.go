@@ -1,6 +1,6 @@
 // Package wire is the network protocol of the RPAI serving layer: the front
-// door that turns the in-process sharded service (internal/serve) into a
-// daemon external applications can feed change streams to and query — the
+// door that turns the in-process multi-query catalog (internal/catalog) into
+// a daemon external applications can feed change streams to and query — the
 // deployment shape DBToaster-style IVM and DBSP both presume.
 //
 // The protocol is binary, length-prefixed and CRC32C-checksummed, following
@@ -14,12 +14,12 @@
 // reports ErrCorruptFrame and the connection is torn down — a damaged frame
 // is always detected, never silently decoded.
 //
-// A connection opens with a versioned handshake: the client sends MsgHello
-// (protocol version plus a client-generated 16-byte session id) and the
-// server answers MsgWelcome (version, shard count, served query) or a typed
-// MsgError with CodeVersion. After the handshake the client may pipeline any
-// number of requests; the server replies strictly in request order per
-// connection, echoing each request's id.
+// A connection opens with a handshake: the client sends MsgHello (protocol
+// version plus a client-generated 16-byte session id) and the server answers
+// MsgWelcome (version, shard count, served query) or, for any version other
+// than Version, a typed MsgError with CodeVersion. After the handshake the
+// client may pipeline any number of requests; the server replies strictly in
+// request order per connection, echoing each request's id.
 //
 // Sessions give batched applies exactly-once semantics across reconnects:
 // MsgApplyBatch carries a per-session sequence number, the server remembers
@@ -40,28 +40,12 @@ import (
 	"fmt"
 )
 
-// Version is the newest protocol version this package speaks. Version 2
-// added the per-shard BatchSize field to the stats reply; version 3 added
-// server-push subscriptions (MsgSubscribe/MsgSubscribed/MsgDelta) and the
-// read-only replica refusal (CodeReadOnly); version 4 added the multi-query
-// catalog: runtime query registration (MsgRegister/MsgUnregister/
-// MsgListQueries), EXPLAIN (MsgExplain), QueryID-routed reads and
-// subscriptions (MsgResultQ/MsgGroupedQ/MsgSubscribeQ/MsgDeltaQ), and the
-// per-query table appended to the stats reply; version 5 appends the
-// state/probe split to every EXPLAIN body — the maintained-state key, the
-// query's probe-plan rendering, its residual conjunct, and the state set's
-// founding epoch (StateKey/Probe/Residual/StateSince) — so clients of a
-// sharing catalog can see which registrations run as probe plans over one
-// state set. A v4 connection receives the v4 body unchanged.
+// Version is the one protocol version this package speaks; a hello carrying
+// any other is refused with CodeVersion. It covers the whole message set
+// below: batched ingest, reads, stats with the per-query table, push
+// subscriptions, runtime query registration, EXPLAIN with the state/probe
+// split, and QueryID-routed reads and subscriptions.
 const Version = 5
-
-// MinVersion is the oldest protocol version the server still accepts. The
-// handshake negotiates downward: a hello carrying any version in
-// [MinVersion, Version] is welcomed at that version, and the connection then
-// speaks only the messages that version defines (a v2 connection asking to
-// subscribe is refused with CodeBadRequest). Versions outside the window are
-// refused with CodeVersion.
-const MinVersion = 2
 
 // DefaultMaxFrame bounds a frame payload (8 MiB) unless overridden: large
 // enough for multi-thousand-event batches and wide grouped results, small
@@ -80,32 +64,32 @@ const (
 	MsgApply         MsgType = 2 // single event, fire-with-ack, load-shed when the shard queue is full
 	MsgApplyBatch    MsgType = 3 // sequenced event batch (the bulk ingestion path)
 	MsgDrain         MsgType = 4 // barrier: ack after all prior events are applied and durable
-	MsgResult        MsgType = 5 // scalar result read
-	MsgResultGrouped MsgType = 6 // per-partition grouped result read
+	MsgResult        MsgType = 5 // scalar result read of the default (lowest-ID) query
+	MsgResultGrouped MsgType = 6 // grouped result read of the default query
 	MsgStats         MsgType = 7 // server + per-shard serving counters
-	MsgCheckpoint    MsgType = 8 // trigger a checkpoint into the server's data dir
-	// MsgSubscribe (v3) registers the connection for pushed grouped-result
+	MsgCheckpoint    MsgType = 8 // rotate the catalog's data directory to a new generation
+	// MsgSubscribe registers the connection for pushed grouped-result
 	// deltas; after MsgSubscribed the server streams MsgDelta frames until the
 	// connection closes. A subscribed connection sends nothing further.
 	MsgSubscribe MsgType = 15
-	// MsgRegister (v4) registers a query at runtime on a catalog server: the
+	// MsgRegister registers a query at runtime: the
 	// body is the SQL text, the reply MsgRegistered carries the assigned
 	// QueryID and the query's EXPLAIN.
 	MsgRegister MsgType = 18
-	// MsgUnregister (v4) removes a registered query by QueryID; acknowledged
+	// MsgUnregister removes a registered query by QueryID; acknowledged
 	// with MsgAck.
 	MsgUnregister MsgType = 20
-	// MsgListQueries (v4) asks for every registered query's EXPLAIN; the
+	// MsgListQueries asks for every registered query's EXPLAIN; the
 	// reply is MsgQueryList.
 	MsgListQueries MsgType = 21
-	// MsgExplain (v4) asks for one query's EXPLAIN by QueryID; the reply is
+	// MsgExplain asks for one query's EXPLAIN by QueryID; the reply is
 	// MsgExplained.
 	MsgExplain MsgType = 23
-	// MsgResultQ / MsgGroupedQ (v4) are the QueryID-routed reads; replies are
+	// MsgResultQ / MsgGroupedQ are the QueryID-routed reads; replies are
 	// the plain MsgScalar / MsgGrouped.
 	MsgResultQ  MsgType = 25
 	MsgGroupedQ MsgType = 26
-	// MsgSubscribeQ (v4) subscribes to one registered query's delta stream:
+	// MsgSubscribeQ subscribes to one registered query's delta stream:
 	// a QueryID followed by a subscribe body. The server acknowledges with
 	// MsgSubscribed and streams MsgDeltaQ frames.
 	MsgSubscribeQ MsgType = 27
@@ -119,21 +103,21 @@ const (
 	MsgGrouped    MsgType = 12 // grouped result
 	MsgStatsReply MsgType = 13 // stats payload
 	MsgError      MsgType = 14 // typed failure reply
-	// MsgSubscribed (v3) acknowledges a subscription: shard count plus the
+	// MsgSubscribed acknowledges a subscription: shard count plus the
 	// service epoch the client quotes when resuming after a reconnect.
 	MsgSubscribed MsgType = 16
-	// MsgDelta (v3) is one pushed coalesced delta frame for one shard. Its
+	// MsgDelta is one pushed coalesced delta frame for one shard. Its
 	// request id echoes the subscribe request's id.
 	MsgDelta MsgType = 17
-	// MsgRegistered (v4) acknowledges MsgRegister: the assigned QueryID plus
+	// MsgRegistered acknowledges MsgRegister: the assigned QueryID plus
 	// the query's EXPLAIN (strategy, index kind, sharing).
 	MsgRegistered MsgType = 19
-	// MsgQueryList (v4) answers MsgListQueries with every registration's
+	// MsgQueryList answers MsgListQueries with every registration's
 	// EXPLAIN, ordered by QueryID.
 	MsgQueryList MsgType = 22
-	// MsgExplained (v4) answers MsgExplain with one query's EXPLAIN.
+	// MsgExplained answers MsgExplain with one query's EXPLAIN.
 	MsgExplained MsgType = 24
-	// MsgDeltaQ (v4) is one pushed delta frame routed by QueryID: the
+	// MsgDeltaQ is one pushed delta frame routed by QueryID: the
 	// MsgDelta body prefixed with the query's id.
 	MsgDeltaQ MsgType = 28
 )
@@ -220,7 +204,8 @@ const (
 	// CodeInternal: an unexpected server-side failure.
 	CodeInternal Code = 6
 	// CodeReadOnly: the server is a read replica; write-carrying requests
-	// (apply, batch, drain, checkpoint) are shed. Point writes at the primary.
+	// (apply, batch, drain, checkpoint, register, unregister) are shed. Point
+	// writes at the primary.
 	CodeReadOnly Code = 7
 )
 
